@@ -1,9 +1,13 @@
 """Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
 
-A monomial is a sorted tuple of (variable index, exponent) pairs with no zero
-exponents; exponents may be negative (Laurent).  Variable indices are plain
-integers and may be negative.  A Laurent polynomial maps monomials to Fraction
-coefficients, with no zero coefficients stored, so equality is structural.
+A monomial is written at the boundaries as a Mono: a sorted tuple of
+(variable index, exponent) pairs with no zero exponents.  Exponents may be
+negative (Laurent), and variable indices are plain integers that may be
+negative.  Inside a LaurentPoly every monomial is a packed exponent vector,
+one int (see "Packed exponent vectors" below), so multiplying monomials is
+adding ints.  A Laurent polynomial maps packed monomials to Fraction (or
+int) coefficients, with no zero coefficients stored, so equality is
+structural.  `LaurentPoly.terms` is a read-only Mapping view keyed by Mono.
 
 Rational functions are reduced num/den pairs.  Reduction uses multivariate
 polynomial GCD (content / primitive-part recursion with a primitive
@@ -17,10 +21,16 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from array import array
+from collections.abc import ItemsView
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import itemgetter, or_
+from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[tuple[int, int], ...]
 
@@ -33,6 +43,10 @@ def _term_limit() -> int:
 
 class TermLimitExceeded(RuntimeError):
     """Raised when a polynomial grows past CLUSTERFLOW_MAX_TERMS terms."""
+
+
+class ExponentOverflow(OverflowError):
+    """Raised when an exponent leaves the packed range [-EXP_LIMIT, EXP_LIMIT - 1]."""
 
 
 class DivisionFails(Exception):
@@ -73,10 +87,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def mono_div(a: Mono, b: Mono) -> Mono:
-    return mono_mul(a, mono_inv(b))
-
-
 def mono_inv(a: Mono) -> Mono:
     return tuple((v, -e) for v, e in a)
 
@@ -87,155 +97,440 @@ def mono_pow(a: Mono, n: int) -> Mono:
     return tuple((v, e * n) for v, e in a)
 
 
+# ---------------------------------------------------------------------------
+# Packed exponent vectors
+# ---------------------------------------------------------------------------
+#
+# A packed key is sum(e_v << (FIELD_BITS * slot(v))): each variable owns a
+# fixed-width field, assigned by a process-wide append-only registry the
+# first time a Mono mentions the variable.  Exponents are balanced signed
+# digits in [-EXP_LIMIT, EXP_LIMIT), so the key of a product is the sum of the
+# keys, 1 is 0, and the inverse is the negation; keys made at any time
+# combine without repacking.  For keys with nonnegative exponents, integer
+# order is the lexicographic order with the highest field first, which is
+# a monomial order.
+#
+# Per-field comparisons use the bits above the exponent range: adding _BIAS
+# (EXP_LIMIT in every field) makes every digit nonnegative and below 2**15,
+# so the top bit of each field (_GUARD) is free to catch a borrow
+# (Monagan & Pearce, "Polynomial division using dynamic arrays, heaps, and
+# packed exponent vectors", CASC 2007).  Every operation that creates new
+# exponents checks the bounds it knows and raises ExponentOverflow instead of
+# letting a field spill into its neighbour.
+
+FIELD_BITS = 16
+EXP_LIMIT = 1 << (FIELD_BITS - 2)
+_FILL = (1 << FIELD_BITS) - 1
+_SIGN = FIELD_BITS - 1
+
+_SLOT: dict[int, int] = {}  # variable -> bit offset of its field
+_VARS: list[int] = []  # field index -> variable
+_VAR_ORDER: list[int] = []  # field indices sorted by variable
+_BIAS = 0  # EXP_LIMIT in every registered field
+_GUARD = 0  # the top bit of every registered field
+_GUARD1 = 0  # _GUARD minus 1 in every registered field
+_SWAP = sys.byteorder == "big"
+
+
+def _register(v: int) -> int:
+    global _BIAS, _GUARD, _GUARD1
+    shift = FIELD_BITS * len(_VARS)
+    _VARS.append(v)
+    _SLOT[v] = shift
+    _VAR_ORDER[:] = sorted(range(len(_VARS)), key=_VARS.__getitem__)
+    _BIAS |= EXP_LIMIT << shift
+    _GUARD |= (2 * EXP_LIMIT) << shift
+    _GUARD1 |= (2 * EXP_LIMIT - 1) << shift
+    return shift
+
+
+def _pack(m: Mono) -> int:
+    key = 0
+    for v, e in m:
+        if not -EXP_LIMIT <= e < EXP_LIMIT:
+            raise ExponentOverflow(f"exponent {e} of variable {v}")
+        shift = _SLOT.get(v)
+        if shift is None:
+            shift = _register(v)
+        key += e << shift
+    return key
+
+
+def _fields(x: int) -> array:
+    """The fields of a nonnegative int below 2**(FIELD_BITS * registered
+    variables), in registry order."""
+    a = array("H", x.to_bytes(2 * len(_VARS), "little"))
+    if _SWAP:
+        a.byteswap()
+    return a
+
+
+def _digits(key: int) -> array:
+    """The biased fields (exponent + EXP_LIMIT) of a key."""
+    return _fields(key + _BIAS)
+
+
+def _unpack(key: int) -> Mono:
+    if not key:
+        return MONO_ONE
+    return tuple(
+        sorted((_VARS[i], d - EXP_LIMIT) for i, d in enumerate(_digits(key)) if d != EXP_LIMIT)
+    )
+
+
+def _field(key: int, shift: int) -> int:
+    """The exponent in the field at bit offset shift."""
+    return (((key + _BIAS) >> shift) & _FILL) - EXP_LIMIT
+
+
+def _fits(s: int) -> bool:
+    """Whether every field of s, a sum or difference of two in-range keys
+    (so each field lies in [-2*EXP_LIMIT, 2*EXP_LIMIT)), is in range."""
+    u = s + _GUARD
+    return (u ^ (u << 1)) & _GUARD == _GUARD
+
+
+def _key_mul(a: int, b: int) -> int:
+    s = a + b
+    if not _fits(s):
+        raise ExponentOverflow("monomial product leaves the exponent range")
+    return s
+
+
+def _key_div(a: int, b: int) -> int:
+    s = a - b
+    if not _fits(s):
+        raise ExponentOverflow("monomial quotient leaves the exponent range")
+    return s
+
+
+def _key_pow(a: int, n: int) -> int:
+    if any(not -EXP_LIMIT <= e * n < EXP_LIMIT for _, e in _unpack(a)):
+        raise ExponentOverflow(f"monomial power {n} leaves the exponent range")
+    return a * n
+
+
+def _key_min(a: int, b: int) -> int:
+    """Per-variable minimum of two keys."""
+    bias = _BIAS
+    a += bias
+    b += bias
+    t = (a + _GUARD1 - b) & _GUARD  # guard set where a > b
+    if t:
+        a ^= (a ^ b) & ((t >> _SIGN) * _FILL)
+    return a - bias
+
+
+def _key_range(keys: Iterable[int]) -> tuple[int, int]:
+    """Per-variable minimum and maximum exponent over nonempty keys."""
+    bias, guard = _BIAS, _GUARD
+    below = _GUARD1 - bias  # lo + below - k: guard set where lo > k
+    above = _GUARD1 + bias  # k + above - hi: guard set where k > hi
+    it = iter(keys)
+    lo = hi = next(it) + bias
+    for k in it:
+        t = (lo + below - k) & guard
+        if t:
+            lo ^= (lo ^ (k + bias)) & ((t >> _SIGN) * _FILL)
+        t = (k + above - hi) & guard
+        if t:
+            hi ^= (hi ^ (k + bias)) & ((t >> _SIGN) * _FILL)
+    return lo - bias, hi - bias
+
+
+def _glex_key(lo: int, hi: int):
+    """Sort key of the graded-lex order (variables compared by id, the
+    smallest id most significant) on keys whose exponents lie between lo and
+    hi in every variable: the total degree, then the varying fields as
+    big-endian bytes in variable order."""
+    n = len(_VARS)
+    span = _digits(hi - lo)
+    pos: list[int] = []
+    for i in _VAR_ORDER:
+        if span[i] != EXP_LIMIT:
+            j = 2 * (n - 1 - i)
+            pos += (j, j + 1)
+    if not pos:
+        return lambda k: 0
+    pick = itemgetter(*pos)
+    if sum(span) - n * EXP_LIMIT < _FILL:
+        # k - lo has nonnegative fields summing below 2**16 - 1, so its
+        # remainder mod 2**16 - 1 is its total degree
+        def key(k: int):
+            k -= lo
+            return k % _FILL, bytes(pick(k.to_bytes(2 * n, "big")))
+    else:
+        def key(k: int):
+            k -= lo
+            return sum(_fields(k)), bytes(pick(k.to_bytes(2 * n, "big")))
+    return key
+
+
+def _tuple_first(keys: Mapping[int, object]) -> int:
+    """The key whose Mono is least in tuple order (pairs sorted by variable),
+    among keys with nonnegative exponents."""
+    if 0 in keys:
+        return 0
+    cands = list(keys)
+    done = 0  # fields on which all candidates agree
+    while len(cands) > 1:
+        # the smallest variable any candidate still has: candidates with it
+        # sort first, the smallest exponent first
+        rest = _fields(reduce(or_, cands) & ~done)
+        shift = FIELD_BITS * next(i for i in _VAR_ORDER if rest[i])
+        exps = [(k >> shift) & _FILL for k in cands]
+        e = min(x for x in exps if x)
+        cands = [k for k, x in zip(cands, exps) if x == e]
+        done |= _FILL << shift
+        for k in cands:
+            if not k & ~done:
+                return k  # a prefix of every other candidate
+    return cands[0]
+
+
+def _content(cs: Iterable) -> Fraction:
+    """gcd of rational numbers (positive), 0 when there are none."""
+    cs = list(cs)
+    try:
+        return Fraction(math.gcd(*cs))
+    except TypeError:  # not all integers
+        return Fraction(
+            math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs))
+        )
+
+
 def _intify(c):
     """Store integral coefficients as plain ints (ints satisfy the Rational
     protocol, hash like equal Fractions, and multiply much faster)."""
     return c.numerator if c.denominator == 1 else c
 
 
-def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.gcd(a.numerator, b.numerator),
-        (a.denominator * b.denominator) // math.gcd(a.denominator, b.denominator),
-    )
+class _TermItems(ItemsView):
+    def __iter__(self):
+        for k, c in self._mapping._t.items():
+            yield _unpack(k), c
+
+
+class Terms(Mapping):
+    """Read-only view of a LaurentPoly's terms keyed by Mono."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, t: dict[int, Fraction]):
+        self._t = t
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self) -> Iterator[Mono]:
+        return map(_unpack, self._t)
+
+    def __getitem__(self, m: Mono):
+        key = 0
+        for v, e in m:
+            if v not in _SLOT or not -EXP_LIMIT <= e < EXP_LIMIT:
+                raise KeyError(m)
+            key += e << _SLOT[v]
+        return self._t[key]
+
+    def items(self) -> _TermItems:
+        return _TermItems(self)
+
+    def values(self):
+        return self._t.values()
+
+    def __repr__(self):
+        return f"Terms({dict(self.items())!r})"
+
+
+def _poly(t: dict[int, Fraction], lo: int | None = None, hi: int | None = None) -> "LaurentPoly":
+    """A LaurentPoly on a packed term dict with no zero coefficients, and
+    its exact per-variable exponent range when known."""
+    p = object.__new__(LaurentPoly)
+    p._t = t
+    p._lo = lo
+    p._hi = hi
+    p._hash = None
+    return p
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with Fraction coefficients."""
+    """Sparse Laurent polynomial with Fraction coefficients on packed monomials.
 
-    __slots__ = ("terms", "_hash")
+    `_lo` and `_hi` cache the exact per-variable minimum and maximum exponent
+    as keys.  They are computed on first use and carried exactly through
+    products, quotients and shifts (Q is a domain, so the extreme terms in
+    each variable never cancel), which bounds every new exponent before it
+    is formed.
+    """
+
+    __slots__ = ("_t", "_lo", "_hi", "_hash")
 
     def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        self.terms: dict[Mono, Fraction] = {
-            m: c for m, c in (terms or {}).items() if c != 0
-        }
-        if len(self.terms) > _term_limit():
-            raise TermLimitExceeded(f"{len(self.terms)} terms")
+        t: dict[int, Fraction] = {}
+        for m, c in (terms or {}).items():
+            if c != 0:
+                t[_pack(m)] = c
+        if len(t) > _term_limit():
+            raise TermLimitExceeded(f"{len(t)} terms")
+        self._t = t
+        self._lo = self._hi = None
         self._hash: int | None = None
+
+    @property
+    def terms(self) -> Terms:
+        return Terms(self._t)
+
+    def _range(self) -> tuple[int, int]:
+        if self._lo is None:
+            self._lo, self._hi = _key_range(self._t)
+        return self._lo, self._hi
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return _poly({})
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
         c = _intify(Fraction(c))
-        return LaurentPoly({MONO_ONE: c}) if c else LaurentPoly()
+        return _poly({0: c}, 0, 0) if c else _poly({})
 
     @staticmethod
     def variable(v: int, e: int = 1) -> "LaurentPoly":
-        if e == 0:
-            return LaurentPoly.one()
-        return LaurentPoly({((v, e),): 1})
+        return LaurentPoly.monomial(((v, e),) if e else MONO_ONE)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly.constant(1)
+        return _poly({0: 1}, 0, 0)
 
     @staticmethod
     def monomial(m: Mono, c=1) -> "LaurentPoly":
-        return LaurentPoly({m: _intify(Fraction(c))})
+        c = _intify(Fraction(c))
+        key = _pack(m)
+        return _poly({key: c}, key, key) if c else _poly({})
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_one(self) -> bool:
-        return self.terms == {MONO_ONE: Fraction(1)}
+        return len(self._t) == 1 and self._t.get(0) == 1
 
     def is_constant(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and MONO_ONE in self.terms)
+        return not self._t or (len(self._t) == 1 and 0 in self._t)
 
     def is_monomial(self) -> bool:
-        return len(self.terms) == 1
+        return len(self._t) == 1
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return self._t.get(0, Fraction(0))
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(MONO_ONE, Fraction(0))
+        return self._t.get(0, Fraction(0))
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        for m in self.terms:
-            out.update(v for v, _ in m)
-        return out
+        """The variables, inserted in order of first appearance (term order,
+        then variable id), so that iterating the set is deterministic."""
+        bias = _BIAS
+        seen = 0
+        order: list[int] = []
+        for k in self._t:
+            new = ((k + bias) ^ bias) & ~seen
+            if new:
+                fields = _fields(new)
+                for i in _VAR_ORDER:
+                    if fields[i]:
+                        seen |= _FILL << (FIELD_BITS * i)
+                        order.append(_VARS[i])
+        return set(order)
 
     def is_polynomial(self) -> bool:
-        return all(e >= 0 for m in self.terms for _, e in m)
+        if not self._t:
+            return True
+        lo = self._range()[0] + _BIAS
+        return lo & _BIAS == _BIAS  # every biased minimum >= EXP_LIMIT
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.terms:
+        if not self._t:
             return other
-        if not other.terms:
+        if not other._t:
             return self
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
+        cap = _term_limit()
+        out = dict(self._t)
+        for k, c in other._t.items():
+            prev = out.get(k)
             if prev is None:
-                out[m] = c
+                out[k] = c
+                if len(out) > cap:
+                    raise TermLimitExceeded(f"{len(out)} terms in a sum")
             else:
                 nc = prev + c
                 if nc:
-                    out[m] = nc
+                    out[k] = nc
                 else:
-                    del out[m]
-        return LaurentPoly(out)
+                    del out[k]
+        return _poly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _poly({k: -c for k, c in self._t.items()}, self._lo, self._hi)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.terms or not other.terms:
-            return LaurentPoly()
-        a, b = self.terms, other.terms
+        if not self._t or not other._t:
+            return _poly({})
+        a_lo, a_hi = self._range()
+        b_lo, b_hi = other._range()
+        lo, hi = _key_mul(a_lo, b_lo), _key_mul(a_hi, b_hi)
+        a, b = self._t, other._t
         if len(a) > len(b):
             a, b = b, a
-        out: dict[Mono, Fraction] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                prev = out.get(m)
+        cap = _term_limit()
+        out: dict[int, Fraction] = {}
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                prev = get(k)
                 if prev is None:
-                    out[m] = c1 * c2
+                    out[k] = c1 * c2
+                    if len(out) > cap:
+                        raise TermLimitExceeded(f"{len(out)} terms in a product")
                 else:
                     nc = prev + c1 * c2
                     if nc:
-                        out[m] = nc
+                        out[k] = nc
                     else:
-                        del out[m]
-        return LaurentPoly(out)
+                        del out[k]
+        return _poly(out, lo, hi)
 
     def scale(self, c) -> "LaurentPoly":
         c = _intify(Fraction(c))
         if not c:
-            return LaurentPoly()
+            return _poly({})
         if c == 1:
             return self
         if isinstance(c, int):
-            return LaurentPoly({m: cc * c for m, cc in self.terms.items()})
-        return LaurentPoly({m: _intify(cc * c) for m, cc in self.terms.items()})
+            return _poly({k: cc * c for k, cc in self._t.items()}, self._lo, self._hi)
+        return _poly({k: _intify(cc * c) for k, cc in self._t.items()}, self._lo, self._hi)
 
-    def mul_mono(self, m: Mono, c=1) -> "LaurentPoly":
-        c = _intify(Fraction(c))
-        if c == 1:
-            return LaurentPoly({mono_mul(mm, m): cc for mm, cc in self.terms.items()})
-        if isinstance(c, int):
-            return LaurentPoly(
-                {mono_mul(mm, m): cc * c for mm, cc in self.terms.items()}
-            )
-        return LaurentPoly(
-            {mono_mul(mm, m): _intify(cc * c) for mm, cc in self.terms.items()}
+    def _shifted(self, key: int) -> "LaurentPoly":
+        """self times the monomial with packed key `key`."""
+        if not key or not self._t:
+            return self
+        lo, hi = self._range()
+        return _poly(
+            {k + key: c for k, c in self._t.items()},
+            _key_mul(lo, key),
+            _key_mul(hi, key),
         )
 
     def __pow__(self, n: int) -> "LaurentPoly":
@@ -253,70 +548,40 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
+            self._hash = hash(frozenset(self._t.items()))
         return self._hash
 
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, v: int) -> "LaurentPoly":
-        out: dict[Mono, Fraction] = {}
-        for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(v, 0)
-            if e == 0:
-                continue
-            if e == 1:
-                d.pop(v)
-            else:
-                d[v] = e - 1
-            nm = tuple(sorted(d.items()))
-            nc = out.get(nm, Fraction(0)) + c * e
-            if nc:
-                out[nm] = nc
-            else:
-                out.pop(nm, None)
-        return LaurentPoly(out)
+        shift = _SLOT.get(v)
+        if shift is None:
+            return _poly({})
+        one = 1 << shift
+        out: dict[int, Fraction] = {}
+        for k, c in self._t.items():
+            e = _field(k, shift)
+            if e:
+                if e == -EXP_LIMIT:
+                    raise ExponentOverflow(f"derivative of exponent {e}")
+                out[k - one] = c * e
+        return _poly(out)
 
     # -- structure ---------------------------------------------------------
 
     def min_exponents(self) -> Mono:
         """Per-variable minimum exponent over all terms (the monomial content)."""
-        if not self.terms:
+        if not self._t:
             return MONO_ONE
-        mins: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        n = 0
-        for m in self.terms:
-            n += 1
-            for v, e in m:
-                if v in mins:
-                    if e < mins[v]:
-                        mins[v] = e
-                    counts[v] += 1
-                else:
-                    mins[v] = e
-                    counts[v] = 1
-        # a variable missing from some term has exponent 0 there
-        return mono(
-            {v: (e if counts[v] == n else min(e, 0)) for v, e in mins.items()}
-        )
+        return _unpack(self._range()[0])
 
     def content(self) -> Fraction:
         """gcd of the coefficients (positive), 0 for the zero polynomial."""
-        c = Fraction(0)
-        for coeff in self.terms.values():
-            c = _frac_gcd(c, abs(coeff))
-            if c == 1:
-                break
-        return c
-
-    def leading(self, order: "_MonoOrder") -> tuple[Mono, Fraction]:
-        m = max(self.terms, key=order.key)
-        return m, self.terms[m]
+        return _content(self._t.values())
 
     def substitute(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """Evaluate with some variables replaced by rational functions."""
@@ -350,11 +615,12 @@ class LaurentPoly:
         return f"LaurentPoly({format_poly(self)})"
 
     def to_json(self) -> list[dict]:
+        terms = self.terms
         out = []
-        for m in sorted(self.terms, key=lambda mm: (len(mm), mm)):
+        for m in sorted(terms, key=lambda mm: (len(mm), mm)):
             out.append(
                 {
-                    "coeff": format_fraction(self.terms[m]),
+                    "coeff": format_fraction(terms[m]),
                     "exps": {str(v): e for v, e in m},
                 }
             )
@@ -369,86 +635,72 @@ class LaurentPoly:
         return LaurentPoly(terms)
 
 
-class _MonoOrder:
-    """Graded-lex monomial order over a fixed variable list (positive exponents)."""
-
-    def __init__(self, variables: Iterable[int]):
-        self.vars = sorted(set(variables))
-
-    def key(self, m: Mono):
-        d = dict(m)
-        vec = tuple(d.get(v, 0) for v in self.vars)
-        return (sum(vec), vec)
-
-
 def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Return q with q*d == n exactly, or raise DivisionFails.
 
-    Works in the Laurent ring: monomial factors are units, so both operands are
-    first shifted to true polynomials and the quotient is shifted back.  The
-    remainder is kept as a dict with a lazily-deleted max-heap of monomials,
-    so each cancellation step costs O(|d| log terms) instead of a full scan.
+    Works in the Laurent ring: monomial factors are units, so both operands
+    are shifted to true polynomials and the quotient is shifted back.  Per
+    variable, an exact quotient spans exactly lo(n) - lo(d) .. hi(n) - hi(d),
+    so every quotient term must lie in that box; the first one outside it
+    ends the division.  The remainder is a dict with a lazily-deleted max-heap
+    of its keys (Monagan & Pearce, "Sparse polynomial division using a heap",
+    J. Symb. Comput. 46, 2011), in the packed integer order; the quotient is
+    unique, so the order does not change it.  Its terms are returned in
+    decreasing graded-lex order, as a graded-lex heap division yields them:
+    poly_gcd breaks ties in its main-variable choice by set iteration order,
+    which follows the order variables first appear in the terms.
     """
-    import heapq
-
-    if d.is_zero():
+    if not d._t:
         raise ZeroDivisionError("division by zero polynomial")
-    if n.is_zero():
-        return LaurentPoly.zero()
-    shift_n = n.min_exponents()
-    shift_d = d.min_exponents()
-    np = n.mul_mono(mono_inv(shift_n))
-    dp = d.mul_mono(mono_inv(shift_d))
-    vars_ = sorted(np.variables() | dp.variables())
-    keycache: dict[Mono, tuple] = {}
-
-    def nkey(m: Mono):
-        # negated graded-lex key, so the heap minimum is the leading monomial
-        k = keycache.get(m)
-        if k is None:
-            dd = dict(m)
-            vec = tuple(-dd.get(v, 0) for v in vars_)
-            k = (sum(vec), vec)
-            keycache[m] = k
-        return k
-
-    lm_d = min(dp.terms, key=nkey)
-    lc_d = dp.terms[lm_d]
-    lm_d_dict = dict(lm_d)
-    d_items = list(dp.terms.items())
-    rem = dict(np.terms)
-    heap = [(nkey(m), m) for m in rem]
-    heapq.heapify(heap)
-    q: dict[Mono, Fraction] = {}
+    if not n._t:
+        return _poly({})
+    n_lo, n_hi = n._range()
+    d_lo, d_hi = d._range()
+    guard = _GUARD
+    box = (n_hi - n_lo) - (d_hi - d_lo)  # quotient extent per variable
+    if (box + guard) & guard != guard:
+        raise DivisionFails()
+    q_lo, q_hi = _key_div(n_lo, d_lo), _key_div(n_hi, d_hi)
+    cap = _term_limit()
+    rem = {k - n_lo: c for k, c in n._t.items()} if n_lo else dict(n._t)
+    dt = {k - d_lo: c for k, c in d._t.items()} if d_lo else d._t
+    lead = max(dt)
+    lc = dt[lead]
+    rest = [(k, c) for k, c in dt.items() if k != lead]
+    low = guard - lead  # m + low: guard set where m >= lead
+    high = box + lead + guard  # high - m: guard set where m - lead <= box
+    heap = [-k for k in rem]
+    heapify(heap)
+    q: dict[int, Fraction] = {}
     while heap:
-        _, m = heapq.heappop(heap)
-        c = rem.get(m)
-        if not c:
+        m = -heappop(heap)
+        c = rem.pop(m, None)
+        if c is None:
             continue
-        dm = dict(m)
-        if any(dm.get(v, 0) < e for v, e in lm_d_dict.items()):
+        if (m + low) & (high - m) & guard != guard:
             raise DivisionFails()
-        qm = mono_div(m, lm_d)
-        if isinstance(c, int) and isinstance(lc_d, int):
-            qc = c // lc_d if c % lc_d == 0 else Fraction(c, lc_d)
+        qm = m - lead
+        if isinstance(c, int) and isinstance(lc, int):
+            qc = c // lc if c % lc == 0 else Fraction(c, lc)
         else:
-            qc = _intify(Fraction(c) / Fraction(lc_d))
+            qc = _intify(Fraction(c) / Fraction(lc))
         q[qm] = qc
-        for m2, c2 in d_items:
-            mm = mono_mul(qm, m2)
+        if len(q) > cap:
+            raise TermLimitExceeded(f"{len(q)} terms in a quotient")
+        for k2, c2 in rest:
+            mm = qm + k2
             prev = rem.get(mm)
             if prev is None:
                 rem[mm] = -qc * c2
-                heapq.heappush(heap, (nkey(mm), mm))
+                heappush(heap, -mm)
             else:
                 nc = prev - qc * c2
                 if nc:
                     rem[mm] = nc
                 else:
                     del rem[mm]
-    if any(rem.values()):
-        raise DivisionFails()
-    return LaurentPoly(q).mul_mono(mono_div(shift_n, shift_d))
+    order = sorted(q, key=_glex_key(0, box), reverse=True)
+    return _poly({k + q_lo: q[k] for k in order}, q_lo, q_hi)
 
 
 def try_exact_div(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
@@ -465,21 +717,22 @@ def try_exact_div(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 
 def _coeffs_in(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
     """Split p (a true polynomial) by the degree of v."""
-    out: dict[int, dict[Mono, Fraction]] = {}
-    for m, c in p.terms.items():
-        d = dict(m)
-        e = d.pop(v, 0)
-        out.setdefault(e, {})[tuple(sorted(d.items()))] = c
-    return {e: LaurentPoly(t) for e, t in out.items()}
+    shift = _SLOT[v]
+    out: dict[int, dict[int, Fraction]] = {}
+    for k, c in p._t.items():
+        e = _field(k, shift)
+        out.setdefault(e, {})[k - (e << shift)] = c
+    return {e: _poly(t) for e, t in out.items()}
 
 
 def _from_coeffs(coeffs: Mapping[int, LaurentPoly], v: int) -> LaurentPoly:
-    terms: dict[Mono, Fraction] = {}
+    shift = _SLOT[v]
+    terms: dict[int, Fraction] = {}
     for e, p in coeffs.items():
-        for m, c in p.terms.items():
-            nm = mono_mul(m, ((v, e),) if e else MONO_ONE)
-            terms[nm] = terms.get(nm, Fraction(0)) + c
-    return LaurentPoly(terms)
+        ek = e << shift
+        for k, c in p._t.items():
+            terms[k + ek] = c
+    return _poly(terms)
 
 
 def _poly_content_pp(p: LaurentPoly, v: int) -> tuple[LaurentPoly, "list[LaurentPoly]"]:
@@ -526,10 +779,7 @@ def _dense_prem(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]
 def _dense_scalar_primitive(a: list[LaurentPoly]) -> list[LaurentPoly]:
     """Divide out the common scalar content so coefficients stay coprime ints;
     without this the pseudo-remainder loop compounds huge fractions."""
-    c = Fraction(0)
-    for p in a:
-        for coeff in p.terms.values():
-            c = _frac_gcd(c, abs(coeff))
+    c = _content(x for p in a for x in p._t.values())
     if not c or c == 1:
         return a
     inv = 1 / c
@@ -548,16 +798,19 @@ def _dense_primitive(a: list[LaurentPoly]) -> list[LaurentPoly]:
     return [exact_div_laurent(c, cont) if not c.is_zero() else c for c in a]
 
 
+def _lead_sign_unit(p: LaurentPoly) -> Fraction:
+    """The content of p, negated when p's graded-lex leading coefficient
+    (variables compared by id) is negative."""
+    c = p.content()
+    lead = max(p._t, key=_glex_key(*p._range())) if len(p._t) > 1 else next(iter(p._t))
+    return -c if p._t[lead] < 0 else c
+
+
 def _canonical_unit(p: LaurentPoly) -> LaurentPoly:
     """Scale so coefficients are coprime integers with positive leading coeff."""
     if p.is_zero():
         return p
-    c = p.content()
-    order = _MonoOrder(p.variables())
-    _, lc = p.leading(order)
-    if lc < 0:
-        c = -c
-    return p.scale(1 / c)
+    return p.scale(1 / _lead_sign_unit(p))
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -575,7 +828,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     b = _canonical_unit(b)
     # main variable: smallest combined degree keeps the PRS short
     def vdeg(p: LaurentPoly, v: int) -> int:
-        return max(dict(m).get(v, 0) for m in p.terms)
+        return _field(p._range()[1], _SLOT[v])
 
     v = min(common, key=lambda w: vdeg(a, w) + vdeg(b, w))
     cont_a, pa = _poly_content_pp(a, v)
@@ -718,10 +971,8 @@ class RatFunc:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        # canonical forms are unique, but cross-multiplying is cheap insurance
-        if self.num == other.num and self.den == other.den:
-            return True
-        return self.num * other.den == other.num * self.den
+        # canonical forms are unique
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
@@ -758,23 +1009,20 @@ def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     """Reduce a num/den pair to the canonical form described on RatFunc."""
     if num.is_zero():
         return LaurentPoly.zero(), LaurentPoly.one()
-    shift_n = num.min_exponents()
-    shift_d = den.min_exponents()
-    np = num.mul_mono(mono_inv(shift_n))
-    dp = den.mul_mono(mono_inv(shift_d))
+    shift_n = num._range()[0]
+    shift_d = den._range()[0]
+    np = num._shifted(-shift_n)
+    dp = den._shifted(-shift_d)
     if not dp.is_constant():
         g = poly_gcd(np, dp)
         if not g.is_one():
             np = exact_div_laurent(np, g)
             dp = exact_div_laurent(dp, g)
     # scalar normalization: den primitive with positive leading coefficient
-    c = dp.content()
-    _, lc = dp.leading(_MonoOrder(dp.variables()))
-    if lc < 0:
-        c = -c
+    c = _lead_sign_unit(dp)
     dp = dp.scale(1 / c)
     np = np.scale(1 / c)
-    np = np.mul_mono(mono_div(shift_n, shift_d))
+    np = np._shifted(_key_div(shift_n, shift_d))
     if dp.is_one():
         return np, LaurentPoly.one()
     return np, dp

@@ -24,26 +24,28 @@ from .algebra import (
     LaurentPoly,
     Mono,
     RatFunc,
-    mono,
-    mono_div,
-    mono_inv,
-    mono_mul,
-    mono_pow,
+    _intify,
+    _key_div,
+    _key_min,
+    _key_mul,
+    _key_pow,
+    _pack,
+    _poly,
+    _tuple_first,
+    _unpack,
     try_exact_div,
 )
 
-_MONO_ONE: Mono = ()
 
-
-def _split(p: LaurentPoly) -> tuple[Fraction, Mono, LaurentPoly | None]:
+def _split(p: LaurentPoly) -> tuple[Fraction, int, LaurentPoly | None]:
     """Write a nonzero Laurent polynomial as coeff * monomial * base with the
     base canonical (min exponents zero, content one, reference coefficient
-    positive), or base None when p is a monomial."""
-    shift = p.min_exponents()
-    q = p.mul_mono(mono_inv(shift))
+    positive), or base None when p is a monomial.  The monomial is a packed
+    key; the reference term is the least in Mono tuple order."""
+    shift = p._range()[0]
+    q = p._shifted(-shift)
     c = q.content()
-    ref = min(q.terms)
-    if q.terms[ref] < 0:
+    if q._t[_tuple_first(q._t)] < 0:
         c = -c
     if c != 1:
         q = q.scale(Fraction(1) / c)
@@ -52,31 +54,38 @@ def _split(p: LaurentPoly) -> tuple[Fraction, Mono, LaurentPoly | None]:
     return c, shift, q
 
 
-def _expand(coeff: Fraction, m: Mono, pows: Mapping[LaurentPoly, int]) -> LaurentPoly:
-    out = LaurentPoly.monomial(m, coeff)
+def _expand(coeff: Fraction, key: int, pows: Mapping[LaurentPoly, int]) -> LaurentPoly:
+    out = _poly({key: _intify(Fraction(coeff))}, key, key)
     for p, e in pows.items():
-        out = out * p**e
+        if e:
+            out = out * p**e
     return out
 
 
 class Factored:
-    """A nonzero rational function in factored form (or zero as coeff 0)."""
+    """A nonzero rational function in factored form (or zero as coeff 0).
 
-    __slots__ = ("coeff", "mono", "powers")
+    The monomial is kept as a packed key (`key`); `mono` decodes it."""
+
+    __slots__ = ("coeff", "key", "powers")
 
     def __init__(
         self,
         coeff: Fraction = Fraction(0),
-        m: Mono = _MONO_ONE,
+        key: int = 0,
         powers: Mapping[LaurentPoly, int] | None = None,
     ):
         self.coeff = Fraction(coeff)
         if self.coeff == 0:
-            self.mono: Mono = _MONO_ONE
+            self.key = 0
             self.powers: dict[LaurentPoly, int] = {}
         else:
-            self.mono = m
+            self.key = key
             self.powers = {p: e for p, e in (powers or {}).items() if e}
+
+    @property
+    def mono(self) -> Mono:
+        return _unpack(self.key)
 
     # -- constructors --------------------------------------------------
 
@@ -94,18 +103,7 @@ class Factored:
 
     @staticmethod
     def variable(v: int, e: int = 1) -> "Factored":
-        return Factored(Fraction(1), mono({v: e}) if e else _MONO_ONE)
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "Factored":
-        if p.is_zero():
-            return Factored.zero()
-        c, shift, base = _split(p)
-        return Factored(c, shift, {base: 1} if base is not None else None)
-
-    @staticmethod
-    def from_ratfunc(r: RatFunc) -> "Factored":
-        return Factored.from_poly(r.num) / Factored.from_poly(r.den)
+        return Factored(Fraction(1), _pack(((v, e),) if e else ()))
 
     # -- predicates ------------------------------------------------------
 
@@ -113,12 +111,12 @@ class Factored:
         return self.coeff == 0
 
     def is_one(self) -> bool:
-        return self.coeff == 1 and not self.mono and not self.powers
+        return self.coeff == 1 and not self.key and not self.powers
 
     def is_constant(self) -> bool:
         if self.coeff == 0:
             return True
-        return not self.mono and not self.powers
+        return not self.key and not self.powers
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -140,7 +138,7 @@ class Factored:
             else:
                 powers.pop(p, None)
         return Factored(
-            self.coeff * other.coeff, mono_mul(self.mono, other.mono), powers
+            self.coeff * other.coeff, _key_mul(self.key, other.key), powers
         )
 
     def __pow__(self, n: int) -> "Factored":
@@ -152,7 +150,7 @@ class Factored:
             return Factored.zero()
         return Factored(
             self.coeff**n,
-            mono_pow(self.mono, n),
+            _key_pow(self.key, n),
             {p: e * n for p, e in self.powers.items()},
         )
 
@@ -165,7 +163,7 @@ class Factored:
         return self * other**-1
 
     def __neg__(self) -> "Factored":
-        return Factored(-self.coeff, self.mono, self.powers)
+        return Factored(-self.coeff, self.key, self.powers)
 
     # -- additive arithmetic ----------------------------------------------
 
@@ -176,9 +174,9 @@ class Factored:
             return other
         if other.coeff == 0:
             return self
-        da, db = dict(self.mono), dict(other.mono)
-        cm = mono({v: min(da.get(v, 0), db.get(v, 0)) for v in set(da) | set(db)})
-        keys = set(self.powers) | set(other.powers)
+        cm = _key_min(self.key, other.key)
+        # bases in insertion order, so the work never depends on hash order
+        keys = [*self.powers, *(p for p in other.powers if p not in self.powers)]
         cpow: dict[LaurentPoly, int] = {}
         for p in keys:
             e = min(self.powers.get(p, 0), other.powers.get(p, 0))
@@ -186,19 +184,19 @@ class Factored:
                 cpow[p] = e
         pa = _expand(
             self.coeff,
-            mono_div(self.mono, cm),
+            _key_div(self.key, cm),
             {p: self.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
         )
         pb = _expand(
             other.coeff,
-            mono_div(other.mono, cm),
+            _key_div(other.key, cm),
             {p: other.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
         )
         s = pa + pb
         if s.is_zero():
             return Factored.zero()
         c, shift, base = _split(s)
-        m = mono_mul(cm, shift)
+        m = _key_mul(cm, shift)
         powers = dict(cpow)
         # cancel the fresh base against denominator bases by exact division;
         # this is where the Laurent phenomenon keeps factored forms small
@@ -223,7 +221,7 @@ class Factored:
                             del powers[p]
                         cq, sq, base = _split(q)
                         c *= cq
-                        m = mono_mul(m, sq)
+                        m = _key_mul(m, sq)
                         divided = True
                         break
             if not divided:
@@ -243,7 +241,7 @@ class Factored:
             return self.coeff == other.coeff
         if (
             self.coeff == other.coeff
-            and self.mono == other.mono
+            and self.key == other.key
             and self.powers == other.powers
         ):
             return True
@@ -259,15 +257,16 @@ class Factored:
             return RatFunc.zero()
         num_pows = {p: e for p, e in self.powers.items() if e > 0}
         den_pows = {p: -e for p, e in self.powers.items() if e < 0}
-        mnum = {v: e for v, e in self.mono if e > 0}
-        mden = {v: -e for v, e in self.mono if e < 0}
-        num = _expand(self.coeff, mono(mnum), num_pows)
-        den = _expand(Fraction(1), mono(mden), den_pows)
+        m = self.mono
+        mnum = _pack(tuple((v, e) for v, e in m if e > 0))
+        mden = _pack(tuple((v, -e) for v, e in m if e < 0))
+        num = _expand(self.coeff, mnum, num_pows)
+        den = _expand(Fraction(1), mden, den_pows)
         return RatFunc(num, den)
 
     def __repr__(self):
         parts = [str(self.coeff)]
-        if self.mono:
+        if self.key:
             parts.append(f"x^{dict(self.mono)}")
         for p, e in self.powers.items():
             parts.append(f"({len(p.terms)}-term)^{e}")

@@ -149,3 +149,63 @@ def test_term_limit_env(monkeypatch):
     p = sum((x(i) for i in range(4)), LaurentPoly.zero())
     with pytest.raises(TermLimitExceeded):
         _ = p * p * p
+
+
+def test_term_limit_reports_the_first_term_past_the_cap(monkeypatch):
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "5")
+    from clusterflow.algebra import TermLimitExceeded
+
+    p = sum((x(i) for i in range(4)), LaurentPoly.zero())
+    with pytest.raises(TermLimitExceeded, match=r"^6 terms in a product"):
+        _ = p * p
+    with pytest.raises(TermLimitExceeded, match=r"^6 terms in a sum"):
+        _ = p + x(4) + x(5)
+
+
+def test_term_limit_bounds_a_quotient(monkeypatch):
+    from clusterflow.algebra import TermLimitExceeded
+
+    n = sum((x(i) for i in range(6)), LaurentPoly.zero()) * (c(1) + x(6))
+    square = n * n
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "11")
+    with pytest.raises(TermLimitExceeded, match=r"^12 terms in a quotient"):
+        exact_div_laurent(square, n)
+
+
+def test_term_limit_read_once_per_product(monkeypatch):
+    from clusterflow import algebra
+
+    p = sum((x(i) for i in range(30)), LaurentPoly.zero())
+    reads = []
+    monkeypatch.setattr(algebra, "_term_limit", lambda: reads.append(1) or 200000)
+    p = p.scale(3) - x(40)
+    assert len(reads) == 1  # the subtraction; scaling and negation never grow
+    _ = p * p
+    assert len(reads) == 2
+
+
+def test_content_of_mixed_integer_and_fraction_coefficients():
+    # the gcd of 1 and 1/2 is 1/2, whatever the term order
+    assert (c(1) + x(0).scale(Fraction(1, 2))).content() == Fraction(1, 2)
+    assert (x(0).scale(Fraction(1, 2)) + c(1)).content() == Fraction(1, 2)
+
+
+def test_ratfunc_canonical_form_is_unique():
+    # 1/(1 + y/2) and 2/(2 + y) must be the same structure, since equality
+    # and hashing are structural
+    a = RatFunc.one() / RatFunc.from_poly(c(1) + x(1).scale(Fraction(1, 2)))
+    b = RatFunc.constant(2) / RatFunc.from_poly(x(1) + c(2))
+    assert (a.num, a.den) == (b.num, b.den)
+    assert a.den == x(1) + c(2)
+    assert hash(a) == hash(b)
+
+
+def test_exponent_overflow_is_an_error():
+    from clusterflow.algebra import EXP_LIMIT, ExponentOverflow
+
+    big = x(0, EXP_LIMIT - 1)
+    with pytest.raises(ExponentOverflow):
+        _ = big * x(0)
+    with pytest.raises(ExponentOverflow):
+        x(0, EXP_LIMIT)
+    assert (big * x(0, -1)) == x(0, EXP_LIMIT - 2)

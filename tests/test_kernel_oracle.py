@@ -3,7 +3,7 @@
 Laurent polynomials over negative and positive variable ids are multiplied,
 divided, reduced and gcd'ed by clusterflow and by sympy, and the answers are
 compared as rational functions.  The canonical-form conventions clusterflow
-adds on top (true-polynomial denominators with a positive graded-lex leading
+adds on top (primitive denominators with a positive graded-lex leading
 coefficient) are checked directly.  sympy is a test-only dependency.
 """
 
@@ -117,6 +117,8 @@ def test_poly_gcd_matches_sympy(a, b, g):
     # equal up to a nonzero scalar, and canonically normalized
     ratio = sympy.cancel(to_sympy(got) / want)
     assert ratio.is_number and ratio != 0
+    assert all(Fraction(c).denominator == 1 for c in got.terms.values())
+    assert got.content() == 1
     assert _grlex_lc(got) > 0
 
 
@@ -132,13 +134,15 @@ def test_ratfunc_canonical_form_matches_sympy(p, q):
     if num.is_zero():
         assert den.is_one()
         return
-    # den: a true polynomial, min exponent 0 in every variable,
+    # den: a primitive true polynomial, min exponent 0 in every variable,
     # positive graded-lex leading coefficient, coprime to num
     assert den.is_polynomial()
     assert all(e == 0 for _, e in den.min_exponents())
+    assert all(Fraction(c).denominator == 1 for c in den.terms.values())
+    assert den.content() == 1
     assert _grlex_lc(den) > 0
     shift = {v: -e for v, e in num.min_exponents()}
-    num_poly = to_sympy(num.mul_mono(mono(shift)))
+    num_poly = to_sympy(num * LaurentPoly.monomial(mono(shift)))
     assert sympy.gcd(num_poly, to_sympy(den)).is_number
     # den is 1 exactly when the value is a Laurent polynomial
     assert den.is_one() == is_laurent(to_sympy(p) / to_sympy(q))
