@@ -339,9 +339,6 @@ class Terms(Mapping):
     def values(self):
         return self._t.values()
 
-    def __repr__(self):
-        return f"Terms({dict(self.items())!r})"
-
 
 def _poly(t: dict[int, Fraction], lo: int | None = None, hi: int | None = None) -> "LaurentPoly":
     """A LaurentPoly on a packed term dict with no zero coefficients, and
