@@ -1,20 +1,34 @@
-"""Golden digests of every seed value of two depth-5 Lotka-Volterra runs.
+"""Golden digests of every seed value of three depth-5 Lotka-Volterra runs
+and of the C-matrices of one mutation walk.
 
 The digests pin the exact factored forms: for every layer, every x and y
 value's coefficient, monomial, and each base's sorted terms with its
 exponent.  Any change to the exact kernel must leave them untouched.  The
 universal run includes failing trial divisions; the constant-coefficient run
-(delta = 1) is the one the tau identification reads.
+(delta = 1) is the one the tau identification reads.  The tropical run keeps
+its x values as gcd-reduced rational functions, so its digest pins the
+canonical num/den pairs and the tropical y exponents.
 """
 
 import hashlib
 from fractions import Fraction
 
+from clusterflow.algebra import SemifieldTag
 from clusterflow.dynamics import lv_run
+from clusterflow.matrices import ExchangeMatrix
+from clusterflow.tropical import c_walk
 
 
 def _coeff(c) -> str:
     return str(Fraction(c))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _sorted_terms(p) -> list:
+    return sorted((m, _coeff(c)) for m, c in p.terms.items())
 
 
 def seed_digest(state) -> str:
@@ -23,7 +37,7 @@ def seed_digest(state) -> str:
     def base(p) -> str:
         key = id(p)
         if key not in bases:
-            bases[key] = repr(sorted((m, _coeff(c)) for m, c in p.terms.items()))
+            bases[key] = repr(_sorted_terms(p))
         return bases[key]
 
     lines = []
@@ -33,7 +47,7 @@ def seed_digest(state) -> str:
                 v = values[i]
                 powers = sorted((base(p), e) for p, e in v.powers.items())
                 lines.append(repr((u, kind, i, _coeff(v.coeff), tuple(v.mono), powers)))
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    return _digest(lines)
 
 
 def test_universal_depth5_digest():
@@ -47,4 +61,32 @@ def test_constant_depth5_digest():
     state = lv_run(5, -45, 47, delta=Fraction(1))
     assert seed_digest(state) == (
         "afad358e7fee7f29329d8ef33abb7e4cc8c89582dbc6f2ddd56fb0565a268a95"
+    )
+
+
+def tropical_digest(state) -> str:
+    lines = []
+    for u, seed in enumerate(state.seeds):
+        for i in sorted(seed.x):
+            v = seed.x[i]
+            lines.append(repr((u, "x", i, _sorted_terms(v.num), _sorted_terms(v.den))))
+        for i in sorted(seed.y):
+            lines.append(repr((u, "y", i, seed.y[i].exps)))
+    return _digest(lines)
+
+
+def test_tropical_depth5_digest():
+    state = lv_run(5, -15, 17, tag=SemifieldTag.TROPICAL)
+    assert tropical_digest(state) == (
+        "c1e6b9395fa06ba4e1cfa12c542e67a689d6ba616f6041cead013bc7d8a03ee3"
+    )
+
+
+def test_witness_c_walk_digest():
+    # the rank-3 witness whose tropical walk reduces large exchange quotients
+    witness = ExchangeMatrix.from_dense([[0, -2, 1], [2, 0, 1], [-1, -1, 0]])
+    walk = c_walk(witness, (0, 2, 1, 0, 2, 0))
+    lines = [repr((b.to_dense(), c)) for b, c in walk]
+    assert _digest(lines) == (
+        "0ea6f44c4a694ada6977a94d02170721d251a69d79f692b15d1d1542681c64f3"
     )

@@ -122,20 +122,16 @@ def test_poly_gcd_matches_sympy(a, b, g):
     assert _grlex_lc(got) > 0
 
 
-@given(laurent, laurent)
-@settings(max_examples=50, deadline=None)
-def test_ratfunc_canonical_form_matches_sympy(p, q):
-    if q.is_zero():
-        return
-    r = RatFunc.from_poly(p) / RatFunc.from_poly(q)
+def check_canonical_form(r: RatFunc, p: LaurentPoly, q: LaurentPoly) -> None:
+    """r is p/q in canonical form: the same rational function, den a
+    primitive true polynomial with min exponent 0 in every variable and a
+    positive graded-lex leading coefficient, coprime to num, and 1 exactly
+    when the value is a Laurent polynomial."""
     num, den = r.num, r.den
-    # the same rational function
     assert same(to_sympy(num) / to_sympy(den), to_sympy(p) / to_sympy(q))
     if num.is_zero():
         assert den.is_one()
         return
-    # den: a primitive true polynomial, min exponent 0 in every variable,
-    # positive graded-lex leading coefficient, coprime to num
     assert den.is_polynomial()
     assert all(e == 0 for _, e in den.min_exponents())
     assert all(Fraction(c).denominator == 1 for c in den.terms.values())
@@ -144,5 +140,31 @@ def test_ratfunc_canonical_form_matches_sympy(p, q):
     shift = {v: -e for v, e in num.min_exponents()}
     num_poly = to_sympy(num * LaurentPoly.monomial(mono(shift)))
     assert sympy.gcd(num_poly, to_sympy(den)).is_number
-    # den is 1 exactly when the value is a Laurent polynomial
     assert den.is_one() == is_laurent(to_sympy(p) / to_sympy(q))
+
+
+@given(laurent, laurent)
+@settings(max_examples=50, deadline=None)
+def test_ratfunc_canonical_form_matches_sympy(p, q):
+    if q.is_zero():
+        return
+    check_canonical_form(RatFunc.from_poly(p) / RatFunc.from_poly(q), p, q)
+
+
+monomial = st.tuples(
+    st.integers(-6, 6).filter(bool),
+    st.dictionaries(st.sampled_from(VARS), st.integers(-3, 3), max_size=3),
+).map(lambda cm: LaurentPoly.monomial(mono(cm[1]), cm[0]))
+
+
+@given(laurent, laurent, monomial)
+@settings(max_examples=50, deadline=None)
+def test_ratfunc_of_divisible_pair_matches_sympy(den, q, m):
+    # den divides num in the Laurent ring, so the reduction ends in den = 1
+    if den.is_zero():
+        return
+    num = den * q * m
+    r = RatFunc(num, den)
+    check_canonical_form(r, num, den)
+    assert r.den.is_one()
+    assert same(to_sympy(r.num), to_sympy(q * m))
