@@ -431,20 +431,11 @@ class LaurentPoly:
         return self._t.get(0, Fraction(0))
 
     def variables(self) -> set[int]:
-        """The variables, inserted in order of first appearance (term order,
-        then variable id), so that iterating the set is deterministic."""
         bias = _BIAS
-        seen = 0
-        order: list[int] = []
+        used = 0  # nonzero in the fields of variables with a nonzero exponent
         for k in self._t:
-            new = ((k + bias) ^ bias) & ~seen
-            if new:
-                fields = _fields(new)
-                for i in _VAR_ORDER:
-                    if fields[i]:
-                        seen |= _FILL << (FIELD_BITS * i)
-                        order.append(_VARS[i])
-        return set(order)
+            used |= (k + bias) ^ bias
+        return {_VARS[i] for i, f in enumerate(_fields(used)) if f}
 
     def is_polynomial(self) -> bool:
         if not self._t:
@@ -642,10 +633,8 @@ def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     ends the division.  The remainder is a dict with a lazily-deleted max-heap
     of its keys (Monagan & Pearce, "Sparse polynomial division using a heap",
     J. Symb. Comput. 46, 2011), in the packed integer order; the quotient is
-    unique, so the order does not change it.  Its terms are returned in
-    decreasing graded-lex order, as a graded-lex heap division yields them:
-    poly_gcd breaks ties in its main-variable choice by set iteration order,
-    which follows the order variables first appear in the terms.
+    unique, so the order does not change it.  Its terms come in no
+    particular order.
     """
     if not d._t:
         raise ZeroDivisionError("division by zero polynomial")
@@ -681,7 +670,7 @@ def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             qc = c // lc if c % lc == 0 else Fraction(c, lc)
         else:
             qc = _intify(Fraction(c) / Fraction(lc))
-        q[qm] = qc
+        q[qm + q_lo] = qc
         if len(q) > cap:
             raise TermLimitExceeded(f"{len(q)} terms in a quotient")
         for k2, c2 in rest:
@@ -696,8 +685,7 @@ def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
                     rem[mm] = nc
                 else:
                     del rem[mm]
-    order = sorted(q, key=_glex_key(0, box), reverse=True)
-    return _poly({k + q_lo: q[k] for k in order}, q_lo, q_hi)
+    return _poly(q, q_lo, q_hi)
 
 
 def try_exact_div(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
@@ -737,7 +725,9 @@ def _poly_content_pp(p: LaurentPoly, v: int) -> tuple[LaurentPoly, "list[Laurent
     coeffs = _coeffs_in(p, v)
     deg = max(coeffs)
     cont = LaurentPoly.zero()
-    for c in coeffs.values():
+    # fewest terms first, whose gcd is cheapest and likeliest to be 1; the
+    # order follows neither term order nor the variable registry
+    for _, c in sorted(coeffs.items(), key=lambda ec: (len(ec[1]._t), ec[0])):
         cont = poly_gcd(cont, c)
         if cont.is_one():
             break
@@ -823,11 +813,15 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.one()
     a = _canonical_unit(a)
     b = _canonical_unit(b)
-    # main variable: smallest combined degree keeps the PRS short
-    def vdeg(p: LaurentPoly, v: int) -> int:
-        return _field(p._range()[1], _SLOT[v])
+    # main variable: smallest combined degree keeps the PRS short; ties go
+    # to the smallest id, so the choice follows neither term order nor the
+    # registry
+    a_hi, b_hi = a._range()[1], b._range()[1]
 
-    v = min(common, key=lambda w: vdeg(a, w) + vdeg(b, w))
+    def rank(w: int) -> tuple[int, int]:
+        return _field(a_hi, _SLOT[w]) + _field(b_hi, _SLOT[w]), w
+
+    v = min(common, key=rank)
     cont_a, pa = _poly_content_pp(a, v)
     cont_b, pb = _poly_content_pp(b, v)
     cont = poly_gcd(cont_a, cont_b)
@@ -1011,6 +1005,11 @@ def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     np = num._shifted(-shift_n)
     dp = den._shifted(-shift_d)
     if not dp.is_constant():
+        q = try_exact_div(np, dp)
+        if q is not None:
+            # np and dp have min exponent 0 in every variable, so q does too:
+            # (q, 1) is already the canonical pair
+            return q._shifted(_key_div(shift_n, shift_d)), LaurentPoly.one()
         g = poly_gcd(np, dp)
         if not g.is_one():
             np = exact_div_laurent(np, g)

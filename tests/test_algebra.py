@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clusterflow import algebra
 from clusterflow.algebra import (
     DivisionFails,
     LaurentPoly,
@@ -209,3 +210,65 @@ def test_exponent_overflow_is_an_error():
     with pytest.raises(ExponentOverflow):
         x(0, EXP_LIMIT)
     assert (big * x(0, -1)) == x(0, EXP_LIMIT - 2)
+
+
+# poly_gcd's work depends only on the polynomials and the order of the
+# variable ids: neither the order the terms were inserted in nor the order the
+# variables were registered in may change the recursion
+GCD_VARS = (-3, 0, 2, 5)
+
+
+def _relabel_var(v: int) -> int:
+    # order-preserving, onto ids no other test uses
+    return 3 * v + 1001
+
+
+def _relabel(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(
+        {mono((_relabel_var(v), e) for v, e in m): co for m, co in p.terms.items()}
+    )
+
+
+def _reversed(p: LaurentPoly) -> LaurentPoly:
+    return LaurentPoly(dict(reversed(list(p.terms.items()))))
+
+
+def _gcd_calls(a: LaurentPoly, b: LaurentPoly) -> tuple[int, LaurentPoly]:
+    calls = 0
+    gcd = algebra.poly_gcd
+
+    def counting(p, q):
+        nonlocal calls
+        calls += 1
+        return gcd(p, q)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebra, "poly_gcd", counting)
+        g = algebra.poly_gcd(a, b)
+    return calls, g
+
+
+gcd_poly = st.lists(
+    st.tuples(
+        st.integers(-4, 4).filter(bool),
+        st.dictionaries(st.sampled_from(GCD_VARS), st.integers(0, 3), max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+).map(
+    lambda terms: sum(
+        (LaurentPoly.monomial(mono(m), co) for co, m in terms), LaurentPoly.zero()
+    )
+)
+
+
+@given(gcd_poly, gcd_poly, gcd_poly)
+@settings(max_examples=60, deadline=None)
+def test_gcd_work_does_not_depend_on_term_order_or_labels(g, p, q):
+    # register the relabelled variables against their id order
+    for v in sorted(GCD_VARS, reverse=True):
+        LaurentPoly.variable(_relabel_var(v))
+    a, b = g * p, g * q
+    calls, want = _gcd_calls(a, b)
+    assert _gcd_calls(_reversed(a), _reversed(b)) == (calls, want)
+    assert _gcd_calls(_relabel(a), _relabel(b)) == (calls, _relabel(want))
