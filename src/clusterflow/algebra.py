@@ -9,11 +9,12 @@ adding ints.  A Laurent polynomial maps packed monomials to Fraction (or
 int) coefficients, with no zero coefficients stored, so equality is
 structural.  `LaurentPoly.terms` is a read-only Mapping view keyed by Mono.
 
-Rational functions are reduced num/den pairs.  Reduction uses multivariate
-polynomial GCD (content / primitive-part recursion with a primitive
-pseudo-remainder sequence); the denominator is kept as a primitive true
-polynomial with positive leading coefficient, and collapses to 1 whenever the
-quotient is itself a Laurent polynomial.
+Rational functions are reduced num/den pairs.  Reduction first tries exact
+division, and otherwise uses multivariate polynomial GCD (content /
+primitive-part recursion with a primitive pseudo-remainder sequence); the
+denominator is kept as a primitive true polynomial with positive leading
+coefficient, and collapses to 1 whenever the quotient is itself a Laurent
+polynomial.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Subcommands: mutate (apply a mutation word to a seed), somos (emit the
 Somos-4 sequence), verify (run a named invariant suite), and poisson (solve
 or display compatible Poisson structures).  All numbers are exact rationals;
 output is deterministic JSON or CSV.  Exit codes: 0 success, 1 verification
-failure, 2 bad input.
+failure, 2 bad input, 3 a resource limit hit (CLUSTERFLOW_MAX_TERMS or the
+exponent range), 4 an internal error.  Codes 2-4 print one line on stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import sys
 from fractions import Fraction
 
 from .algebra import (
+    ExponentOverflow,
     RatFunc,
     SemifieldTag,
+    TermLimitExceeded,
     format_fraction,
     parse_fraction,
 )
@@ -291,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pp.add_argument("--solve", action="store_true", help="basis of skew P with PB = cD")
     pp.add_argument("--cx", help="rational c with PB = cD for the particular solve")
-    pp.add_argument("--cy", help="accepted for interface symmetry; unused")
     add_common(pp)
     pp.set_defaults(fn=cmd_poisson)
     return p
@@ -309,9 +311,15 @@ def main(argv=None) -> int:
     except BadInput as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (TermLimitExceeded, ExponentOverflow) as e:
+        print(f"limit exceeded: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

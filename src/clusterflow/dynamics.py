@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import RatFunc, SemifieldTag, format_ratfunc, semifield_sum, yvar
+from .algebra import RatFunc, SemifieldTag, semifield_sum, yvar
 from .matrices import (
     ExchangeMatrix,
     liouville_even_matrix,
@@ -267,27 +267,6 @@ def yhat_rel_residual(state: LVState, u: int, i: int):
         * (one + state.y_hat(u + 2, i - 1).inverse())
     )
     rhs = (one + state.y_hat(u + 1, i - 2)) * (one + state.y_hat(u + 2, i + 2))
-    return lhs - rhs
-
-
-def yhat_cross_residual(state: LVState, u: int, i: int) -> RatFunc:
-    """Cross-ratio form of the dressed Y-system; identically zero whenever
-    yhat_rel_residual is (the two are equivalent rearrangements):
-    (yh_{i-1}(u+2)/yh_i(u)) (1+yh_{i-2}(u+1))/(1+yh_{i+1}(u+1))
-      - (yh_i(u+3)/yh_{i+1}(u+1)) (1+yh_{i-1}(u+2))/(1+yh_{i+2}(u+2))."""
-    one = state.field_one()
-    lhs = (
-        state.y_hat(u + 2, i - 1)
-        / state.y_hat(u, i)
-        * (one + state.y_hat(u + 1, i - 2))
-        / (one + state.y_hat(u + 1, i + 1))
-    )
-    rhs = (
-        state.y_hat(u + 3, i)
-        / state.y_hat(u + 1, i + 1)
-        * (one + state.y_hat(u + 2, i - 1))
-        / (one + state.y_hat(u + 2, i + 2))
-    )
     return lhs - rhs
 
 
@@ -742,18 +721,4 @@ def report_to_csv(records: Sequence[dict]) -> str:
         writer.writerow(
             [rec["relation"], ";".join(str(v) for v in rec["site"]), rec["residual_zero"]]
         )
-    return buf.getvalue()
-
-
-def values_to_csv(values: Mapping[tuple[int, int], object]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["site", "value"])
-    for site in sorted(values):
-        v = values[site]
-        text = format_ratfunc(v) if isinstance(v, RatFunc) else str(v)
-        writer.writerow([";".join(str(c) for c in site), text])
     return buf.getvalue()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import linalg
 
@@ -119,12 +119,6 @@ class ExchangeMatrix:
             if nv:
                 new[(i, j)] = nv
         return ExchangeMatrix(self.indices, new, check=False)
-
-    def mutate_word(self, word: Iterable[int]) -> "ExchangeMatrix":
-        b = self
-        for k in word:
-            b = b.mutate(k)
-        return b
 
     # -- symmetrizer -------------------------------------------------------
 

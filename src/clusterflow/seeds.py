@@ -9,7 +9,7 @@ coefficient factors into the rational function field before using them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import (
@@ -178,6 +178,3 @@ def apply_word(seed: Seed, word: Iterable[int]) -> Seed:
         out = mutate_seed(out, k)
     return out
 
-
-def with_matrix(seed: Seed, matrix: ExchangeMatrix) -> Seed:
-    return replace(seed, matrix=matrix)

@@ -275,11 +275,3 @@ def separation_check(
         tropical_match=trop_match,
         g_inverse_ok=g_ok,
     )
-
-
-def c_matrix_to_json(c: list[list[int]]) -> list[list[int]]:
-    return [list(map(int, row)) for row in c]
-
-
-def f_polynomials_to_json(f: dict[int, LaurentPoly]) -> dict:
-    return {str(i): p.to_json() for i, p in f.items()}

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from clusterflow import cli
 from clusterflow.cli import main
 
 
@@ -107,3 +108,25 @@ def test_out_flag_writes_file(tmp_path, capsys):
     code = main(["somos", "--terms", "6", "--format", "csv", "--out", str(target)])
     assert code == 0
     assert target.read_text().strip().splitlines()[-1] == "6,3"
+
+
+def test_term_limit_hit_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "10")
+    code = main(
+        ["mutate", "--matrix", "somos4", "--word", "1,2,3,4,1,2", "--semifield", "universal"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("limit exceeded: TermLimitExceeded")
+    assert err.count("\n") == 1
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def crash(n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "somos_sequence", crash)
+    code = main(["somos", "--terms", "6"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "internal error: RuntimeError: boom\n"
