@@ -432,8 +432,9 @@ class LaurentPoly:
         return self._t.get(0, Fraction(0))
 
     def variables(self) -> set[int]:
+        """The variables with a nonzero exponent in some term."""
         bias = _BIAS
-        used = 0  # nonzero in the fields of variables with a nonzero exponent
+        used = 0  # nonzero in the fields of those variables
         for k in self._t:
             used |= (k + bias) ^ bias
         return {_VARS[i] for i, f in enumerate(_fields(used)) if f}
@@ -817,12 +818,10 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     # main variable: smallest combined degree keeps the PRS short; ties go
     # to the smallest id, so the choice follows neither term order nor the
     # registry
-    a_hi, b_hi = a._range()[1], b._range()[1]
+    def vdeg(p: LaurentPoly, v: int) -> int:
+        return _field(p._range()[1], _SLOT[v])
 
-    def rank(w: int) -> tuple[int, int]:
-        return _field(a_hi, _SLOT[w]) + _field(b_hi, _SLOT[w]), w
-
-    v = min(common, key=rank)
+    v = min(common, key=lambda w: (vdeg(a, w) + vdeg(b, w), w))
     cont_a, pa = _poly_content_pp(a, v)
     cont_b, pb = _poly_content_pp(b, v)
     cont = poly_gcd(cont_a, cont_b)
