@@ -1,12 +1,16 @@
 """Exact linear algebra over Fraction.
 
-Matrices are lists of lists of Fraction.  Everything here is small and dense;
-the point is exact rank, kernel, and inverse computations with no tolerance.
+Matrices are lists of lists of Fraction.  The point is exact rank, kernel,
+and inverse computations with no tolerance.  The matrices that reach here are
+mostly zeros (banded exchange matrices and the linear systems built from
+them), so products and elimination visit only nonzero entries; a dense matrix
+is the case where every entry is nonzero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list[list[Fraction]]
 
@@ -31,37 +35,37 @@ def transpose(a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Product over the integers: each row of a and each column of b is put
+    over the lcm of its denominators, so the inner loop multiplies and adds
+    plain ints, visits only the nonzero entries of both, and one Fraction is
+    built per output entry."""
     if not a or not b:
         return []
-    rb = len(b)
-    cb = len(b[0])
-    out = zeros(len(a), cb)
-    for i, row in enumerate(a):
-        for k in range(rb):
-            v = row[k]
+    col_den = [1] * len(b[0])
+    for row in b:
+        for j, v in enumerate(row):
             if v:
-                bk = b[k]
-                oi = out[i]
-                for j in range(cb):
-                    oi[j] += v * bk[j]
+                col_den[j] = lcm(col_den[j], v.denominator)
+    b_rows = [
+        [(j, v.numerator * (col_den[j] // v.denominator)) for j, v in enumerate(row) if v]
+        for row in b
+    ]
+    out = []
+    for row in a:
+        den = lcm(*(v.denominator for v in row if v))
+        acc = [0] * len(col_den)
+        for v, b_row in zip(row, b_rows):
+            if v:
+                s = v.numerator * (den // v.denominator)
+                for j, w in b_row:
+                    acc[j] += s * w
+        out.append([Fraction(x, den * d) for x, d in zip(acc, col_den)])
     return out
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a: Matrix, c) -> Matrix:
     c = Fraction(c)
     return [[c * x for x in row] for row in a]
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
 
 
 def mat_eq(a: Matrix, b: Matrix) -> bool:
@@ -78,7 +82,11 @@ def is_skew(a: Matrix) -> bool:
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
+    """Reduced row echelon form and the list of pivot columns.
+
+    Entries left of the pivot column are already zero in the pivot row, so
+    only its nonzero entries from the pivot column on are scaled and
+    eliminated with, and rows with a zero in the pivot column are skipped."""
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -89,12 +97,17 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
+        pivot_row = m[r]
+        inv = 1 / pivot_row[c]
+        nonzero = [j for j in range(c, cols) if pivot_row[j]]
+        for j in nonzero:
+            pivot_row[j] *= inv
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and f != 0:
+                row = m[i]
+                for j in nonzero:
+                    row[j] -= f * pivot_row[j]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -140,7 +153,8 @@ def solve(a: Matrix, b: list[Fraction]) -> list[Fraction] | None:
 
 def inverse(a: Matrix) -> Matrix | None:
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    eye = identity(n)
+    aug = [row[:] + eye[i] for i, row in enumerate(a)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None
