@@ -199,7 +199,11 @@ class Factored:
         m = _key_mul(cm, shift)
         powers = dict(cpow)
         # cancel the fresh base against denominator bases by exact division;
-        # this is where the Laurent phenomenon keeps factored forms small
+        # this is where the Laurent phenomenon keeps factored forms small.
+        # A divisor that failed is never tried again: if d does not divide
+        # the base B, it does not divide B/p (up to the unit _split takes
+        # out) either, or it would divide (B/p)*p = B.
+        failed: set[LaurentPoly] = set()
         while base is not None:
             if base in powers:
                 ne = powers[base] + 1
@@ -211,9 +215,11 @@ class Factored:
                 break
             divided = False
             for p, e in powers.items():
-                if e < 0:
+                if e < 0 and p not in failed:
                     q = try_exact_div(base, p)
-                    if q is not None:
+                    if q is None:
+                        failed.add(p)
+                    else:
                         ne = e + 1
                         if ne:
                             powers[p] = ne
