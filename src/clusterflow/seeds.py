@@ -106,26 +106,33 @@ def _one(tag: SemifieldTag):
     return TrivialUnit()
 
 
+def mutate_coefficients(
+    matrix: ExchangeMatrix, y: Mapping[int, object], k: int, tag: SemifieldTag
+) -> tuple[dict, object]:
+    """Coefficient mutation at index k under the exchange matrix before the
+    mutation: the new coefficients and the semifield sum 1 (+) y_k."""
+    yk = y[k]
+    sf_one = yk**0 if tag is SemifieldTag.UNIVERSAL else _one(tag)
+    one_plus_yk = semifield_sum(tag, sf_one, yk)
+    new_y = dict(y)
+    if tag is SemifieldTag.TRIVIAL:
+        new_y[k] = TrivialUnit()
+        return new_y, one_plus_yk
+    new_y[k] = yk**-1
+    for j, bkj in matrix.row(k).items():
+        if bkj > 0:
+            new_y[j] = y[j] * yk**bkj * one_plus_yk ** (-bkj)
+        else:
+            new_y[j] = y[j] * one_plus_yk ** (-bkj)
+    return new_y, one_plus_yk
+
+
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at index k.  Involutive: mutate_seed(mutate_seed(s,k),k) == s."""
     b = seed.matrix
     tag = seed.tag
     yk = seed.y[k]
-    sf_one = yk**0 if tag is SemifieldTag.UNIVERSAL else _one(tag)
-    one_plus_yk = semifield_sum(tag, sf_one, yk)
-
-    # coefficients
-    new_y = dict(seed.y)
-    new_y[k] = yk ** -1 if tag is not SemifieldTag.TRIVIAL else TrivialUnit()
-    for j in b.row(k):
-        bkj = b.entry(k, j)
-        if tag is SemifieldTag.TRIVIAL:
-            continue
-        yj = seed.y[j]
-        if bkj > 0:
-            new_y[j] = yj * yk ** bkj * one_plus_yk ** (-bkj)
-        else:
-            new_y[j] = yj * one_plus_yk ** (-bkj)
+    new_y, one_plus_yk = mutate_coefficients(b, seed.y, k, tag)
 
     # exchange relation for the cluster variable at k
     field_one = seed.field_one()

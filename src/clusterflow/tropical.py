@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .linalg import identity, inverse, mat, mat_eq, mat_mul, transpose
 from .matrices import ExchangeMatrix
-from .seeds import Seed, apply_word, mutate_seed
+from .seeds import Seed, apply_word, mutate_coefficients
 
 
 class BranchDisagreement(RuntimeError):
@@ -78,11 +78,10 @@ def _c_mutate(
     return out
 
 
-def _tropical_c_columns(seed: Seed) -> list[list[int]]:
-    """C-matrix read off a tropical-semifield seed: column i is the exponent
+def _tropical_c_columns(idx: list[int], y: dict[int, TropPoint]) -> list[list[int]]:
+    """C-matrix read off tropical coefficients: column i is the exponent
     vector of the tropical coefficient y'_i."""
-    idx = list(seed.matrix.indices)
-    return [[seed.y[i].exponent(yvar(j)) for i in idx] for j in idx]
+    return [[y[i].exponent(yvar(j)) for i in idx] for j in idx]
 
 
 def c_walk(
@@ -94,18 +93,23 @@ def c_walk(
     initial one.  Every step is computed three ways -- both sign branches of
     the piecewise-linear recursion and an independent walk in the tropical
     semifield -- and any disagreement is a hard error naming the seed path.
+    The tropical walk mutates only the coefficients and its own copy of the
+    exchange matrix; it never needs the cluster variables.
     """
     _warn_if_not_skew_symmetric(matrix)
+    idx = list(matrix.indices)
     n = matrix.n
     c = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
     b = matrix
-    trop = Seed.initial(matrix, SemifieldTag.TROPICAL)
+    trop_b = matrix
+    trop_y = {i: TropPoint.generator(yvar(i)) for i in idx}
     out = [(b, [row[:] for row in c])]
     for step, k in enumerate(word):
         c_plus = _c_mutate(c, b, k, +1)
         c_minus = _c_mutate(c, b, k, -1)
-        trop = mutate_seed(trop, k)
-        c_trop = _tropical_c_columns(trop)
+        trop_y, _ = mutate_coefficients(trop_b, trop_y, k, SemifieldTag.TROPICAL)
+        trop_b = trop_b.mutate(k)
+        c_trop = _tropical_c_columns(idx, trop_y)
         if not (c_plus == c_minus == c_trop):
             raise BranchDisagreement(
                 f"C-matrix branches disagree after word {tuple(word[: step + 1])}: "
@@ -113,7 +117,7 @@ def c_walk(
             )
         c = c_plus
         b = b.mutate(k)
-        if b != trop.matrix:
+        if b != trop_b:
             raise BranchDisagreement(
                 f"matrix walks disagree after word {tuple(word[: step + 1])}"
             )

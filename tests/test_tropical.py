@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from clusterflow.algebra import LaurentPoly, xvar, yvar
+from clusterflow import tropical
+from clusterflow.algebra import LaurentPoly, RatFunc, xvar, yvar
 from clusterflow.matrices import ExchangeMatrix, a2_matrix, somos4_matrix
 from clusterflow.tropical import (
+    BranchDisagreement,
     c_walk,
     check_g_inverse,
     f_polynomials,
@@ -39,6 +41,28 @@ class TestCWalk:
         for k, (bw, _) in zip(word, steps[1:]):
             b = b.mutate(k)
             assert bw.to_dense() == b.to_dense()
+
+    def test_walks_coefficients_only(self, monkeypatch):
+        # the tropical side of the walk never forms a cluster variable's
+        # exchange quotient
+        def no_quotient(num, den):
+            raise AssertionError("c_walk computed a cluster variable")
+
+        monkeypatch.setattr(RatFunc, "__truediv__", no_quotient)
+        steps = c_walk(somos4_matrix(), (0, 1, 2, 3, 0))
+        assert len(steps) == 6
+
+    def test_tropical_disagreement_is_an_error(self, monkeypatch):
+        mutate = tropical.mutate_coefficients
+
+        def off_by_one(matrix, y, k, tag):
+            new_y, one_plus = mutate(matrix, y, k, tag)
+            new_y[k] = new_y[k] * y[k] ** -1
+            return new_y, one_plus
+
+        monkeypatch.setattr(tropical, "mutate_coefficients", off_by_one)
+        with pytest.raises(BranchDisagreement, match=r"after word \(0,\)"):
+            c_walk(a2_matrix(), (0, 1))
 
 
 class TestGMatrix:
