@@ -102,7 +102,7 @@ def c_walk(
     c = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
     b = matrix
     trop_b = matrix
-    trop_y = {i: TropPoint.generator(yvar(i)) for i in idx}
+    trop_y = Seed.initial(matrix, SemifieldTag.TROPICAL).y
     out = [(b, [row[:] for row in c])]
     for step, k in enumerate(word):
         c_plus = _c_mutate(c, b, k, +1)
