@@ -1,5 +1,6 @@
-"""Golden digests of every seed value of three depth-5 Lotka-Volterra runs
-and of the C-matrices of one mutation walk.
+"""Golden digests of every seed value of three depth-5 Lotka-Volterra runs,
+of the C-matrices of one mutation walk, and of the `clusterflow mutate` JSON
+of five seeds.
 
 The digests pin the exact factored forms: for every layer, every x and y
 value's coefficient, monomial, and each base's sorted terms with its
@@ -13,6 +14,9 @@ canonical num/den pairs and the tropical y exponents.
 import hashlib
 from fractions import Fraction
 
+import pytest
+
+from clusterflow import cli
 from clusterflow.algebra import SemifieldTag
 from clusterflow.dynamics import lv_run
 from clusterflow.matrices import ExchangeMatrix
@@ -90,3 +94,36 @@ def test_witness_c_walk_digest():
     assert _digest(lines) == (
         "0ea6f44c4a694ada6977a94d02170721d251a69d79f692b15d1d1542681c64f3"
     )
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--matrix", "somos4", "--word", "1,2,3,4", "--semifield", "universal"],
+            "1df780f0fd0358191fe55548be4b0116b469b8927f098c0fc670aba1de10d2e7",
+        ),
+        (
+            ["--matrix", "somos4", "--word", "1,2,3,4,1", "--semifield", "tropical"],
+            "71e009e8f23aa8895c1793db51854c0e9856f40da519ebd72cf80858297c7d86",
+        ),
+        (
+            ["--matrix", "somos4", "--word", "1,2,3,4,1", "--semifield", "trivial"],
+            "d27941fd72a5e47e9cfe1ca7029b27799d5e26af00442238fc15965d0e0f0b50",
+        ),
+        (
+            ["--matrix", "somos4", "--word", "1,2,3,4,1,2,3,4", "--semifield", "tropical"],
+            "5bab98b4ff6a4fbb7ef96cac3c15d981dfaf27f7499f0d9bcce458517596fb90",
+        ),
+        (
+            ["--matrix", "lv", "--window=-9..9", "--word", "bar0,bar1", "--semifield", "universal"],
+            "d77ede381b8b69bfe290167d9f87c45b32d670b268dad9007d046720e1f7ee0d",
+        ),
+    ],
+    ids=["somos4-universal", "somos4-tropical", "somos4-trivial", "somos4-tropical-8", "lv-universal"],
+)
+def test_cli_mutate_digest(tmp_path, args, digest):
+    # the JSON boundary: canonical x forms, the tropical y repr, the trivial "1"
+    out = tmp_path / "seed.json"
+    assert cli.main(["mutate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
