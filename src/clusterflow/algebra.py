@@ -19,7 +19,6 @@ polynomial.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import sys
@@ -894,9 +893,6 @@ class RatFunc:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_one()
 
@@ -1042,10 +1038,6 @@ class TropPoint:
     exps: tuple[tuple[int, int], ...]
 
     @staticmethod
-    def make(exps: Mapping[int, int] | Iterable[tuple[int, int]]) -> "TropPoint":
-        return TropPoint(mono(exps))
-
-    @staticmethod
     def unit() -> "TropPoint":
         return TropPoint(MONO_ONE)
 
@@ -1071,52 +1063,8 @@ class TropPoint:
         a, b = dict(self.exps), dict(other.exps)
         return TropPoint(mono({v: min(a.get(v, 0), b.get(v, 0)) for v in vs}))
 
-    def positive_part(self) -> "TropPoint":
-        return TropPoint(mono({v: max(e, 0) for v, e in self.exps}))
-
     def to_laurent(self) -> LaurentPoly:
         return LaurentPoly.monomial(self.exps)
-
-    def to_ratfunc(self) -> RatFunc:
-        return RatFunc.from_poly(self.to_laurent())
-
-
-class TrivialUnit:
-    """The single element of the trivial semifield."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "1"
-
-    def __eq__(self, other):
-        return isinstance(other, TrivialUnit)
-
-    def __hash__(self):
-        return hash(TrivialUnit)
-
-
-def semifield_sum(tag: SemifieldTag, a, b):
-    """a (+) b in the semifield selected by tag."""
-    if tag is SemifieldTag.UNIVERSAL:
-        # RatFunc or any other exact field value type with the same interface
-        if type(a) is not type(b) or not hasattr(a, "__add__"):
-            raise TypeError("universal semifield elements must share a field type")
-        return a + b
-    if tag is SemifieldTag.TROPICAL:
-        if not isinstance(a, TropPoint) or not isinstance(b, TropPoint):
-            raise TypeError("tropical semifield elements must be TropPoint")
-        return a.oplus(b)
-    if tag is SemifieldTag.TRIVIAL:
-        if not isinstance(a, TrivialUnit) or not isinstance(b, TrivialUnit):
-            raise TypeError("trivial semifield elements must be TrivialUnit")
-        return TrivialUnit()
-    raise ValueError(f"unknown semifield tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1193,6 +1141,3 @@ def format_ratfunc(f: RatFunc, name=var_name) -> str:
         return format_poly(f.num, name)
     return f"({format_poly(f.num, name)})/({format_poly(f.den, name)})"
 
-
-def dumps_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .algebra import (
     ExponentOverflow,
-    RatFunc,
     SemifieldTag,
     TermLimitExceeded,
     format_fraction,
@@ -113,17 +112,17 @@ def _parse_word(text: str, matrix: ExchangeMatrix, windowed: bool) -> list:
 
 
 def _seed_json(seed: Seed) -> dict:
-    def val(v) -> dict:
-        r = v.expand() if hasattr(v, "expand") else v
-        if isinstance(r, RatFunc):
-            return r.to_json()
-        return {"value": str(r)}
+    def y_json(v) -> dict:
+        if seed.tag is SemifieldTag.UNIVERSAL:
+            return v.expand().to_json()
+        # the trivial semifield's one element prints as 1
+        return {"value": "1" if seed.tag is SemifieldTag.TRIVIAL else str(v)}
 
     return {
         "matrix": seed.matrix.to_json(),
         "semifield": seed.tag.value,
-        "x": {str(i): val(seed.x[i]) for i in seed.matrix.indices},
-        "y": {str(i): val(seed.y[i]) for i in seed.matrix.indices},
+        "x": {str(i): seed.x[i].expand().to_json() for i in seed.matrix.indices},
+        "y": {str(i): y_json(seed.y[i]) for i in seed.matrix.indices},
     }
 
 
@@ -141,15 +140,13 @@ def cmd_mutate(args) -> int:
     matrix = _build_matrix(args)
     windowed = args.window is not None
     steps = _parse_word(args.word or "", matrix, windowed)
-    tag = SemifieldTag(args.semifield)
-    factored = tag is not SemifieldTag.TROPICAL
-    seed = Seed.initial(matrix, tag, factored=factored)
+    seed = Seed.initial(matrix, SemifieldTag(args.semifield))
     for kind, v in steps:
         if kind == "one":
             seed = mutate_seed(seed, v)
         else:
             ks = [i for i in seed.matrix.indices if i % 3 == v % 3]
-            seed = mutate_many(seed, ks, check_pairs=True)
+            seed = mutate_many(seed, ks)
     _emit(args, json.dumps(_seed_json(seed), indent=2, sort_keys=True))
     return 0
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import RatFunc, SemifieldTag, semifield_sum, yvar
+from .algebra import RatFunc, SemifieldTag, yvar
+from .factored import Factored
 from .matrices import (
     ExchangeMatrix,
     liouville_even_matrix,
@@ -32,7 +33,7 @@ from .poisson import (
     is_log_canonical,
     symbolic_bracket,
 )
-from .seeds import Seed, _embed, _one, mutate_many
+from .seeds import Seed, embed, mutate_many, one_plus
 
 
 class MarginExhausted(LookupError):
@@ -86,7 +87,7 @@ class LVState:
         if not self.is_safe(u, i):
             raise MarginExhausted(u, i)
 
-    def x(self, u: int, i: int) -> RatFunc:
+    def x(self, u: int, i: int) -> Factored:
         self._check(u, i)
         return self.seeds[u].x[i]
 
@@ -99,19 +100,14 @@ class LVState:
         self._check(u, i)
         return self.seeds[u].y[i]
 
-    def field_one(self):
-        return self.seeds[0].field_one()
+    def y_embedded(self, u: int, i: int) -> Factored:
+        return embed(self.tag, self.y(u, i))
 
-    def y_embedded(self, u: int, i: int):
-        return _embed(self.y(u, i), self.tag, like=self.field_one())
-
-    def one_plus_y(self, u: int, i: int):
+    def one_plus_y(self, u: int, i: int) -> Factored:
         """The semifield sum 1 (+) y_i(u), embedded in the field."""
-        yv = self.y(u, i)
-        sf_one = yv**0 if self.tag is SemifieldTag.UNIVERSAL else _one(self.tag)
-        return _embed(semifield_sum(self.tag, sf_one, yv), self.tag, like=self.field_one())
+        return embed(self.tag, one_plus(self.tag, self.y(u, i)))
 
-    def y_hat(self, u: int, i: int) -> RatFunc:
+    def y_hat(self, u: int, i: int) -> Factored:
         """Dressed coefficient at a forward point (u = i mod 3)."""
         if (u - i) % 3 != 0:
             raise ValueError(f"({u},{i}) is not a forward mutation point")
@@ -119,7 +115,7 @@ class LVState:
         den = self.x(u + 2, i - 1) * self.x(u + 1, i + 1)
         return self.y_embedded(u, i) * num / den
 
-    def f_value(self, u: int, i: int) -> RatFunc:
+    def f_value(self, u: int, i: int) -> Factored:
         """The cluster-monomial factor of the dressed coefficient."""
         num = self.x(u + 1, i - 2) * self.x(u + 2, i + 2)
         den = self.x(u + 2, i - 1) * self.x(u + 1, i + 1)
@@ -135,9 +131,7 @@ class LVState:
                     yield (u, i)
 
 
-def lv_constant_y(
-    lo: int, hi: int, delta: Fraction, value_type: type = RatFunc
-) -> dict[int, object]:
+def lv_constant_y(lo: int, hi: int, delta: Fraction) -> dict[int, Factored]:
     """Constant-coefficient initial data: the Y-system solution y_i(u) = delta
     at forward points corresponds to seed coefficients delta, 1, 1/delta on
     residue classes 0, 1, 2."""
@@ -145,9 +139,9 @@ def lv_constant_y(
     if delta == 0:
         raise ValueError("delta must be nonzero")
     by_class = {
-        0: value_type.constant(delta),
-        1: value_type.one(),
-        2: value_type.constant(Fraction(1) / delta),
+        0: Factored.constant(delta),
+        1: Factored.one(),
+        2: Factored.constant(Fraction(1) / delta),
     }
     return {i: by_class[i % 3] for i in range(lo, hi + 1)}
 
@@ -167,17 +161,12 @@ def lv_run(
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     window = lv_matrix().window(lo, hi)
-    factored = tag is not SemifieldTag.TROPICAL
+    y_values = None
     if delta is not None:
         if tag is not SemifieldTag.UNIVERSAL:
             raise ValueError("constant coefficients require the universal semifield")
-        from .factored import Factored
-
-        seed = Seed.initial(
-            window, tag, y_values=lv_constant_y(lo, hi, delta, Factored), factored=True
-        )
-    else:
-        seed = Seed.initial(window, tag, factored=factored)
+        y_values = lv_constant_y(lo, hi, delta)
+    seed = Seed.initial(window, tag, y_values=y_values)
     seeds = [seed]
     for u in range(depth):
         # only indices whose layer-(u+1) value is still inside the trusted
@@ -188,12 +177,12 @@ def lv_run(
             for i in range(lo, hi + 1)
             if (i - u) % 3 == 0 and min(i - lo, hi - i) >= 3 * (u + 1)
         ]
-        seed = mutate_many(seed, ks, check_pairs=True)
+        seed = mutate_many(seed, ks)
         seeds.append(seed)
     return LVState(lo=lo, hi=hi, depth=depth, tag=tag, seeds=tuple(seeds), delta=delta)
 
 
-def x_rel_residual(state: LVState, u: int, i: int) -> RatFunc:
+def x_rel_residual(state: LVState, u: int, i: int) -> Factored:
     """T-system residual at a forward point:
     x_i(u) x_i(u+3) (1 (+) y_i(u)) - y_i(u) x_{i-2}(u+1) x_{i+2}(u+2)
                                    - x_{i-1}(u+2) x_{i+1}(u+1)."""
@@ -212,28 +201,18 @@ def y_rel_holds(state: LVState, u: int, i: int) -> bool:
     if (u - i) % 3 != 0:
         raise ValueError(f"({u},{i}) is not a forward mutation point")
     tag = state.tag
-    if tag is SemifieldTag.TRIVIAL:
-        return True
-    one = _one(tag)
-
-    def oplus_one(v):
-        # the unit must live in the same representation as the value
-        # (RatFunc, Factored, or TropPoint), so derive it from the value
-        sf_one = v**0 if tag is SemifieldTag.UNIVERSAL else one
-        return semifield_sum(tag, sf_one, v)
-
     lhs = (
         state.y(u, i)
         * state.y(u + 3, i)
-        * oplus_one(state.y(u + 1, i + 1) ** -1)
-        * oplus_one(state.y(u + 2, i - 1) ** -1)
+        * one_plus(tag, state.y(u + 1, i + 1) ** -1)
+        * one_plus(tag, state.y(u + 2, i - 1) ** -1)
     )
-    rhs = oplus_one(state.y(u + 1, i - 2)) * oplus_one(state.y(u + 2, i + 2))
+    rhs = one_plus(tag, state.y(u + 1, i - 2)) * one_plus(tag, state.y(u + 2, i + 2))
     return lhs == rhs
 
 
-def y_rel_residual(state: LVState, u: int, i: int) -> RatFunc:
-    """Field-valued Y-system residual (universal or constant coefficients).
+def y_rel_residual(state: LVState, u: int, i: int) -> Factored:
+    """Field-valued Y-system residual.
 
     Written multiplicatively — (1 + y^{-1}) as (1 (+) y)/y — so that every
     factor is one the mutation run already produced; for factored values the
@@ -241,7 +220,6 @@ def y_rel_residual(state: LVState, u: int, i: int) -> RatFunc:
     """
     if (u - i) % 3 != 0:
         raise ValueError(f"({u},{i}) is not a forward mutation point")
-    one = state.field_one()
     num = (
         state.y_embedded(u, i)
         * state.y_embedded(u + 3, i)
@@ -254,12 +232,12 @@ def y_rel_residual(state: LVState, u: int, i: int) -> RatFunc:
         * state.one_plus_y(u + 1, i - 2)
         * state.one_plus_y(u + 2, i + 2)
     )
-    return num / den - one
+    return num / den - Factored.one()
 
 
-def yhat_rel_residual(state: LVState, u: int, i: int):
+def yhat_rel_residual(state: LVState, u: int, i: int) -> Factored:
     """Y-system residual for the dressed coefficients y-hat."""
-    one = state.field_one()
+    one = Factored.one()
     lhs = (
         state.y_hat(u, i)
         * state.y_hat(u + 3, i)
@@ -279,8 +257,6 @@ def lv_report(state: LVState) -> list[dict]:
             ("y-rel", y_rel_residual),
             ("yhat-rel", yhat_rel_residual),
         ):
-            if name == "y-rel" and state.tag is SemifieldTag.TRIVIAL:
-                continue
             try:
                 residual = fn(state, u, i)
             except MarginExhausted:
@@ -338,7 +314,7 @@ class TauLattice:
     """
 
     delta: Fraction
-    tau: dict  # (n, t) -> Fraction | RatFunc
+    tau: dict  # (n, t) -> Fraction | Factored
 
     def _lift(self, c: Fraction):
         for v in self.tau.values():
@@ -381,7 +357,7 @@ def _is_zero(v) -> bool:
 def tau_run(delta: Fraction, init: Mapping[tuple[int, int], object], steps: int) -> TauLattice:
     """Propagate the bilinear recursion from seeded sites.
 
-    init maps (n, t) to Fraction or RatFunc values.  Each pass fills every
+    init maps (n, t) to Fraction or Factored values.  Each pass fills every
     site whose stencil (the four earlier sites) is already known; `steps`
     bounds the number of passes, so the computable cone grows by at most one
     diagonal per pass.
@@ -519,7 +495,7 @@ class LiouvilleState:
     def even(self) -> bool:
         return self.N % 2 == 0
 
-    def chi(self, n: int, t: int) -> RatFunc:
+    def chi(self, n: int, t: int) -> Factored:
         if not 0 <= t <= self.steps:
             raise MarginExhausted(t, n)
         seed = self.seeds[t]
@@ -529,15 +505,10 @@ class LiouvilleState:
             idx = n % self.N
         else:
             idx = 2 * (n % self.N) + (t % 2)
-        return _embed(seed.y[idx], seed.tag)
+        return embed(seed.tag, seed.y[idx])
 
 
-def liouville_run(
-    N: int,
-    steps: int,
-    y_values: Mapping[int, object] | None = None,
-    tag: SemifieldTag = SemifieldTag.UNIVERSAL,
-) -> LiouvilleState:
+def liouville_run(N: int, steps: int) -> LiouvilleState:
     """Alternate the two composite bipartite mutations, + first at step 0."""
     if N <= 1:
         raise ValueError("N must be at least 2")
@@ -554,20 +525,15 @@ def liouville_run(
         B = liouville_odd_matrix((N - 1) // 2)
         plus = [i for i in B.indices if i % 2 == 0]
         minus = [i for i in B.indices if i % 2 == 1]
-    seed = Seed.initial(
-        B,
-        tag,
-        y_values=dict(y_values) if y_values else None,
-        factored=tag is SemifieldTag.UNIVERSAL and not y_values,
-    )
+    seed = Seed.initial(B)
     seeds = [seed]
     for u in range(steps):
-        seed = mutate_many(seed, plus if u % 2 == 0 else minus, check_pairs=True)
+        seed = mutate_many(seed, plus if u % 2 == 0 else minus)
         seeds.append(seed)
     return LiouvilleState(N=N, steps=steps, seeds=tuple(seeds))
 
 
-def d_liu_residual(state: LiouvilleState, n: int, t: int) -> RatFunc:
+def d_liu_residual(state: LiouvilleState, n: int, t: int) -> Factored:
     """Residual of chi_{n,t+1} chi_{n,t-1} - (1 + chi_{n-1,t})(1 + chi_{n+1,t}).
 
     For even N the site needs n + t odd (chi lives on the even sublattice).
@@ -672,21 +638,12 @@ def liouville_initial_brackets(N: int, c_y: Fraction) -> dict[tuple[int, int], F
             v = c_y * d[i] * bij
             if v:
                 pairs[(yvar(i), yvar(j))] = v
-    def _as_ratfunc(v):
-        return v.expand() if hasattr(v, "expand") else v
-
     if N % 2 == 0:
-        layer0 = {
-            k: _as_ratfunc(_embed(state.seeds[0].y[2 * k], state.seeds[0].tag))
-            for k in range(N // 2)
-        }
-        layer1 = {
-            j: _as_ratfunc(_embed(state.seeds[1].y[2 * j + 1], state.seeds[1].tag))
-            for j in range(N // 2)
-        }
+        layer0 = {k: state.chi(2 * k, 0).expand() for k in range(N // 2)}
+        layer1 = {j: state.chi(2 * j + 1, 1).expand() for j in range(N // 2)}
     else:
-        layer0 = {i: _as_ratfunc(state.chi(i, 0)) for i in range(N)}
-        layer1 = {j: _as_ratfunc(state.chi(j, 1)) for j in range(N)}
+        layer0 = {i: state.chi(i, 0).expand() for i in range(N)}
+        layer1 = {j: state.chi(j, 1).expand() for j in range(N)}
     table = {
         (a, b): _bracket_coefficient(pairs, f, g)
         for a, f in layer0.items()

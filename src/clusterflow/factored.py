@@ -105,6 +105,12 @@ class Factored:
     def variable(v: int, e: int = 1) -> "Factored":
         return Factored(Fraction(1), _pack(((v, e),) if e else ()))
 
+    @staticmethod
+    def from_poly(p: LaurentPoly) -> "Factored":
+        """A nonzero Laurent polynomial as coeff * monomial * canonical base."""
+        c, key, base = _split(p)
+        return Factored(c, key, None if base is None else {base: 1})
+
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:

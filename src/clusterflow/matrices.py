@@ -222,21 +222,6 @@ class PeriodicBandedMatrix:
                         entries[(i, j)] = v
         return ExchangeMatrix(idx, entries, check=False)
 
-    def symbol_matrix(self) -> "list[list[dict[int, int]]]":
-        """p x p matrix of univariate Laurent polynomials {power: coeff}.
-
-        Entry (r, s) collects b_{r, s + p m} as the coefficient of z^m.  A
-        nonzero right kernel of this symbol certifies that no banded left
-        inverse exists.
-        """
-        p = self.period
-        out: list[list[dict[int, int]]] = [[{} for _ in range(p)] for _ in range(p)]
-        for (cls, off), v in self.rule.items():
-            j = cls + off
-            m, s = divmod(j, p)
-            out[cls][s][m] = out[cls][s].get(m, 0) + v
-        return out
-
     def to_json(self) -> dict:
         rule = sorted([cls, off, v] for (cls, off), v in self.rule.items())
         return {

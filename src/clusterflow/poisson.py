@@ -9,9 +9,6 @@ c invariant.  This module provides:
     against),
   * the P-mutation rule with a compatibility witness on failure,
   * exact kernel solvers for PB = cD on finite matrices,
-  * a left-inverse decision procedure for periodic banded infinite matrices
-    via their symbol matrix, with the alternating-chain example realized
-    through the exact integer pattern of sin(n*pi/2),
   * the closed-form solution families of PB = O for the Lotka-Volterra
     quiver (general, shift-symmetric, and periodic truncations),
   * f-variables, the extended (x,y) structure, and compatible 2-forms.
@@ -21,18 +18,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import linalg
 from .algebra import (
-    LaurentPoly,
     RatFunc,
     format_fraction,
     parse_fraction,
     xvar,
     yvar,
 )
-from .matrices import ExchangeMatrix, PeriodicBandedMatrix
+from .matrices import ExchangeMatrix
 
 
 class CompatibilityError(ValueError):
@@ -347,173 +343,8 @@ def solve_poisson(B: ExchangeMatrix, c: Fraction) -> PoissonMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Left inverses of periodic banded matrices
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LeftInverseResult:
-    status: str  # "no_left_inverse" | "exists" | "undecided"
-    certificate: tuple | None = None  # right-kernel vector of the symbol
-    window: tuple[int, int] | None = None
-    m_entries: dict | None = None  # windowed M with MB = I on the interior
-
-    def to_json(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.certificate is not None:
-            out["certificate"] = [p.to_json() for p in self.certificate]
-        if self.window is not None:
-            out["window"] = list(self.window)
-        return out
-
-
-_Z = 0  # flat variable id reserved for the symbol variable z
-
-
-def _symbol_ratfunc(B: PeriodicBandedMatrix) -> list[list[RatFunc]]:
-    sym = B.symbol_matrix()
-    out = []
-    for row in sym:
-        out.append(
-            [
-                RatFunc.from_poly(
-                    LaurentPoly({((( _Z, m),) if m else ()): Fraction(c) for m, c in cell.items()})
-                )
-                for cell in row
-            ]
-        )
-    return out
-
-
-def _ratfunc_nullspace(rows: list[list[RatFunc]]) -> list[list[RatFunc]]:
-    """Right kernel basis over the rational function field (dense Gauss)."""
-    m = [row[:] for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(nc):
-        p = next((i for i in range(r, nr) if not m[i][c].is_zero()), None)
-        if p is None:
-            continue
-        m[r], m[p] = m[p], m[r]
-        inv = m[r][c].inverse()
-        m[r] = [v * inv for v in m[r]]
-        for i in range(nr):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [v - f * w for v, w in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nr:
-            break
-    basis = []
-    for fcol in (c for c in range(nc) if c not in pivots):
-        v = [RatFunc.zero()] * nc
-        v[fcol] = RatFunc.one()
-        for rr, p in enumerate(pivots):
-            v[p] = -m[rr][fcol]
-        basis.append(v)
-    return basis
-
-
-def left_inverse_periodic(
-    B: PeriodicBandedMatrix, halfwidth: int = 6
-) -> LeftInverseResult:
-    """Decide existence of a left inverse M with DM skew-symmetric.
-
-    A nonzero right-kernel vector of the p x p symbol matrix B(z) certifies
-    non-existence (the corresponding periodic infinite vector v satisfies
-    Bv = 0, so MBv = v != 0 is impossible).  Otherwise a windowed dense solve
-    searches for M with MB = I on the window interior and DM skew; success
-    reports existence on that window, failure reports Undecided.
-    """
-    kernel = _ratfunc_nullspace(_symbol_ratfunc(B))
-    if kernel:
-        vec = kernel[0]
-        # clear denominators to present a polynomial certificate
-        den = LaurentPoly.one()
-        for f in vec:
-            den = den * f.den
-        cert = tuple((f * RatFunc.from_poly(den)).num for f in vec)
-        return LeftInverseResult(status="no_left_inverse", certificate=cert)
-
-    lo, hi = -halfwidth, halfwidth
-    W = B.window(lo, hi)
-    idx = W.indices
-    n = len(idx)
-    d = W.symmetrizer()
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    pos = {p: t for t, p in enumerate(pairs)}
-    # unknowns: m_ab for a < b; skewness of DM gives m_ba = -d_a m_ab / d_b
-    # and m_aa = 0
-    bd = W.to_dense()
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    interior = [a for a in range(n) if min(a, n - 1 - a) >= B.band]
-    for a in range(n):
-        for b in interior:
-            row = [Fraction(0)] * len(pairs)
-            for l in range(n):
-                blb = bd[l][b]
-                if not blb:
-                    continue
-                if a < l:
-                    row[pos[(a, l)]] += blb
-                elif l < a:
-                    # m_al = -d_a m_la / d_l
-                    row[pos[(l, a)]] -= blb * Fraction(d[idx[a]], d[idx[l]])
-            rows.append(row)
-            rhs.append(Fraction(1) if a == b else Fraction(0))
-    sol = linalg.solve(rows, rhs)
-    if sol is None:
-        return LeftInverseResult(status="undecided", window=(lo, hi))
-    entries: dict[tuple[int, int], Fraction] = {}
-    for (a, b), t in pos.items():
-        if sol[t]:
-            entries[(idx[a], idx[b])] = sol[t]
-            entries[(idx[b], idx[a])] = -sol[t] * Fraction(d[idx[a]], d[idx[b]])
-    return LeftInverseResult(
-        status="exists", window=(lo, hi), m_entries=entries
-    )
-
-
-def sin_half_pi(n: int) -> int:
-    """sin(n*pi/2) as the exact integer pattern 0, 1, 0, -1."""
-    return (0, 1, 0, -1)[n % 4]
-
-
-def alternating_chain_M(lo: int, hi: int) -> dict[tuple[int, int], int]:
-    """The displayed left inverse of the alternating chain, on a window."""
-    out: dict[tuple[int, int], int] = {}
-    for i in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            if i % 2 == 0:
-                v = sin_half_pi(j - i) if j < i else 0
-            else:
-                v = sin_half_pi(j - i) if j > i else 0
-            if v:
-                out[(i, j)] = v
-    return out
-
-
-def alternating_chain_R(lo: int, hi: int, a: Fraction = Fraction(1)) -> dict[tuple[int, int], Fraction]:
-    """The kernel family R with RB = O for the alternating chain, on a window."""
-    a = Fraction(a)
-    out: dict[tuple[int, int], Fraction] = {}
-    for i in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            v = sin_half_pi(j - i)
-            if v and a:
-                out[(i, j)] = a * v
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Lotka-Volterra Poisson families (PB = O for the 3-periodic band-3 quiver)
 # ---------------------------------------------------------------------------
-
-_S3 = [[Fraction(1)] * 3 for _ in range(3)]
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """Seeds and mutation in a chosen coefficient semifield.
 
 A seed is an exchange matrix together with a cluster variable and a
-coefficient per index.  Cluster variables always live in the field of rational
-functions; coefficients live in the semifield named by the seed's tag
-(universal, tropical, or trivial), and the exchange relation embeds the two
-coefficient factors into the rational function field before using them.
+coefficient per index.  Cluster variables are `Factored` values of the field
+of rational functions.  Coefficients live in the semifield named by the
+seed's tag: universal coefficients are `Factored` values too, tropical ones
+are `TropPoint`s, and the trivial semifield {1} is the tropical semifield on
+no generators, so its one element is the empty `TropPoint`.  The semifield
+rules are `one_plus` (1 (+) y) and `embed` (the image of y in the field);
+the exchange relation goes through both.
 """
 
 from __future__ import annotations
@@ -12,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import (
-    LaurentPoly,
-    RatFunc,
-    SemifieldTag,
-    TrivialUnit,
-    TropPoint,
-    semifield_sum,
-    xvar,
-    yvar,
-)
+from .algebra import SemifieldTag, TropPoint, _pack, xvar, yvar
+from .factored import Factored
 from .matrices import ExchangeMatrix
 
 
@@ -32,8 +27,8 @@ class CommutationError(ValueError):
 @dataclass(frozen=True)
 class Seed:
     matrix: ExchangeMatrix
-    x: dict[int, RatFunc]
-    y: dict
+    x: dict[int, Factored]
+    y: dict  # Factored (universal) or TropPoint (tropical, trivial)
     tag: SemifieldTag
 
     @staticmethod
@@ -41,69 +36,32 @@ class Seed:
         matrix: ExchangeMatrix,
         tag: SemifieldTag = SemifieldTag.UNIVERSAL,
         y_values: Mapping[int, object] | None = None,
-        factored: bool = False,
     ) -> "Seed":
-        """Seed with x_i the generators and y_i either generators or given.
-
-        With factored=True the field values are kept in gcd-free factored
-        form (universal and trivial semifields only); this is what makes deep
-        symbolic runs tractable.
-        """
-        if factored:
-            from .factored import Factored
-
-            if tag is SemifieldTag.TROPICAL:
-                raise ValueError("factored values support universal/trivial tags")
-            x = {i: Factored.variable(xvar(i)) for i in matrix.indices}
-            if y_values is not None:
-                y = dict(y_values)
-            elif tag is SemifieldTag.UNIVERSAL:
-                y = {i: Factored.variable(yvar(i)) for i in matrix.indices}
-            else:
-                y = {i: TrivialUnit() for i in matrix.indices}
-            return Seed(matrix, x, y, tag)
-        x = {i: RatFunc.variable(xvar(i)) for i in matrix.indices}
+        """Seed with x_i the generators and y_i either generators or given."""
+        x = {i: Factored.variable(xvar(i)) for i in matrix.indices}
         if y_values is not None:
             y = dict(y_values)
         elif tag is SemifieldTag.UNIVERSAL:
-            y = {i: RatFunc.variable(yvar(i)) for i in matrix.indices}
+            y = {i: Factored.variable(yvar(i)) for i in matrix.indices}
         elif tag is SemifieldTag.TROPICAL:
             y = {i: TropPoint.generator(yvar(i)) for i in matrix.indices}
         else:
-            y = {i: TrivialUnit() for i in matrix.indices}
+            y = {i: TropPoint.unit() for i in matrix.indices}
         return Seed(matrix, x, y, tag)
 
-    def field_one(self):
-        """The multiplicative unit of the cluster-variable field."""
-        return next(iter(self.x.values())) ** 0
 
-    def y_hat(self, k: int) -> RatFunc:
-        """The coefficient y_k dressed with cluster variables: y_k prod_j x_j^{b_jk}."""
-        out = _embed(self.y[k], self.tag, like=self.field_one())
-        for j, b in self.matrix.column(k).items():
-            out = out * self.x[j] ** b
-        return out
-
-
-def _embed(yv, tag: SemifieldTag, like=None):
-    """Image of a semifield element in the cluster-variable field.
-
-    `like` supplies the field's unit for the tags whose elements do not carry
-    it themselves (defaults to the rational-function field).
-    """
+def one_plus(tag: SemifieldTag, y):
+    """The semifield sum 1 (+) y."""
     if tag is SemifieldTag.UNIVERSAL:
-        return yv
-    if tag is SemifieldTag.TROPICAL:
-        return yv.to_ratfunc()
-    return like if like is not None else RatFunc.one()
+        return Factored.one() + y
+    return TropPoint.unit().oplus(y)
 
 
-def _one(tag: SemifieldTag):
+def embed(tag: SemifieldTag, y) -> Factored:
+    """The image of a semifield element in the field of cluster variables."""
     if tag is SemifieldTag.UNIVERSAL:
-        return RatFunc.one()
-    if tag is SemifieldTag.TROPICAL:
-        return TropPoint.unit()
-    return TrivialUnit()
+        return y
+    return Factored(1, _pack(y.exps))
 
 
 def mutate_coefficients(
@@ -112,12 +70,8 @@ def mutate_coefficients(
     """Coefficient mutation at index k under the exchange matrix before the
     mutation: the new coefficients and the semifield sum 1 (+) y_k."""
     yk = y[k]
-    sf_one = yk**0 if tag is SemifieldTag.UNIVERSAL else _one(tag)
-    one_plus_yk = semifield_sum(tag, sf_one, yk)
+    one_plus_yk = one_plus(tag, yk)
     new_y = dict(y)
-    if tag is SemifieldTag.TRIVIAL:
-        new_y[k] = TrivialUnit()
-        return new_y, one_plus_yk
     new_y[k] = yk**-1
     for j, bkj in matrix.row(k).items():
         if bkj > 0:
@@ -135,44 +89,35 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     new_y, one_plus_yk = mutate_coefficients(b, seed.y, k, tag)
 
     # exchange relation for the cluster variable at k
-    field_one = seed.field_one()
-    pos = field_one
-    neg = field_one
+    pos = neg = Factored.one()
     for i, bik in b.column(k).items():
         if bik > 0:
             pos = pos * seed.x[i] ** bik
         else:
             neg = neg * seed.x[i] ** (-bik)
-    num = _embed(yk, tag, like=field_one) * pos + neg
-    den = _embed(one_plus_yk, tag, like=field_one) * seed.x[k]
+    num = embed(tag, yk) * pos + neg
+    den = embed(tag, one_plus_yk) * seed.x[k]
     new_x = dict(seed.x)
     new_x[k] = num / den
 
     return Seed(b.mutate(k), new_x, new_y, tag)
 
 
-def mutate_many(
-    seed: Seed, ks: Sequence[int], check_pairs: "bool | Iterable[int]" = True
-) -> Seed:
+def mutate_many(seed: Seed, ks: Sequence[int]) -> Seed:
     """Apply mutations at every index in ks (ascending order).
 
     The result is order independent only when the mutated indices do not
-    interact, i.e. the exchange matrix vanishes between them.  With
-    check_pairs True that is verified for all pairs; passing an iterable of
-    indices restricts the verification to pairs inside it (used when a window
-    truncation corrupts entries near the boundary that will be discarded).
+    interact, i.e. the exchange matrix vanishes between them; that is
+    verified for every pair.
     """
     ks = sorted(set(ks))
-    if check_pairs:
-        trusted = set(ks) if check_pairs is True else set(check_pairs) & set(ks)
-        tl = sorted(trusted)
-        for a in range(len(tl)):
-            for b_ in range(a + 1, len(tl)):
-                i, j = tl[a], tl[b_]
-                if seed.matrix.entry(i, j) or seed.matrix.entry(j, i):
-                    raise CommutationError(
-                        f"indices {i} and {j} interact: b({i},{j})={seed.matrix.entry(i, j)}"
-                    )
+    for a in range(len(ks)):
+        for b_ in range(a + 1, len(ks)):
+            i, j = ks[a], ks[b_]
+            if seed.matrix.entry(i, j) or seed.matrix.entry(j, i):
+                raise CommutationError(
+                    f"indices {i} and {j} interact: b({i},{j})={seed.matrix.entry(i, j)}"
+                )
     out = seed
     for k in ks:
         out = mutate_seed(out, k)

@@ -26,6 +26,7 @@ from .algebra import (
     xvar,
     yvar,
 )
+from .factored import Factored
 from .linalg import identity, inverse, mat, mat_eq, mat_mul, transpose
 from .matrices import ExchangeMatrix
 from .seeds import Seed, apply_word, mutate_coefficients
@@ -165,7 +166,7 @@ def f_polynomials(
     ones = {xvar(j): RatFunc.one() for j in matrix.indices}
     out: dict[int, LaurentPoly] = {}
     for i in matrix.indices:
-        f = seed.x[i].substitute(ones)
+        f = seed.x[i].expand().substitute(ones)
         if not f.den.is_one():
             raise PolynomialityError(
                 f"F-candidate at index {i} after word {tuple(word)} is not polynomial"
@@ -222,7 +223,9 @@ def separation_check(
     The direct side is a universal-semifield mutation run.  The reconstructed
     side uses the separation formulas; yhat_i = y_i prod_j x_j^{b_{ji}} is
     built from the *initial* exchange matrix, while the monomial exponents use
-    the final C, G, and exchange matrix.
+    the final C, G, and exchange matrix.  Both sides are compared as
+    `Factored` values, so no cluster variable is expanded; only the direct
+    coefficients are, for their tropical leading terms.
     """
     word = tuple(word)
     idx = list(matrix.indices)
@@ -232,9 +235,7 @@ def separation_check(
     g_ok = check_g_inverse(c, g)
     f = f_polynomials(matrix, word)
 
-    direct = apply_word(Seed.initial(matrix, SemifieldTag.UNIVERSAL, factored=True), word)
-    dx = {i: direct.x[i].expand() for i in idx}
-    dy = {i: direct.y[i].expand() for i in idx}
+    direct = apply_word(Seed.initial(matrix, SemifieldTag.UNIVERSAL), word)
 
     yhat = {
         i: RatFunc.from_poly(
@@ -244,30 +245,35 @@ def separation_check(
         )
         for i in idx
     }
-    f_at_y = {i: RatFunc.from_poly(f[i]) for i in idx}
-    f_at_yhat = {i: f[i].substitute({yvar(j): yhat[j] for j in idx}) for i in idx}
+    f_at_y = {i: Factored.from_poly(f[i]) for i in idx}
+    f_at_yhat = {
+        i: Factored.from_poly(f[i].substitute({yvar(j): yhat[j] for j in idx}).num)
+        for i in idx
+    }
 
     y_match: dict[int, bool] = {}
     x_match: dict[int, bool] = {}
     trop_match: dict[int, bool] = {}
     for ip, i in enumerate(idx):
         y_mono = mono({yvar(j): c[jp][ip] for jp, j in enumerate(idx)})
-        recon_y = RatFunc.from_poly(LaurentPoly.monomial(y_mono))
+        recon_y = Factored.from_poly(LaurentPoly.monomial(y_mono))
         for j in idx:
             bji = b_final.entry(j, i)
             if bji:
                 recon_y = recon_y * f_at_y[j] ** bji
-        y_match[i] = recon_y == dy[i]
+        y_match[i] = recon_y == direct.y[i]
 
         x_mono = mono({xvar(j): g[jp][ip] for jp, j in enumerate(idx)})
         recon_x = (
-            RatFunc.from_poly(LaurentPoly.monomial(x_mono))
+            Factored.from_poly(LaurentPoly.monomial(x_mono))
             * f_at_yhat[i]
             / f_at_y[i]
         )
-        x_match[i] = recon_x == dx[i]
+        x_match[i] = recon_x == direct.x[i]
 
-        trop_match[i] = tropical_leading(dy[i], idx) == [c[jp][ip] for jp in range(len(idx))]
+        trop_match[i] = tropical_leading(direct.y[i].expand(), idx) == [
+            c[jp][ip] for jp in range(len(idx))
+        ]
 
     return SeparationReport(
         word=word,

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterflow.algebra import SemifieldTag
 from clusterflow.dynamics import (
     LatticeZeroDivision,
     MarginExhausted,
@@ -51,16 +52,17 @@ class TestLVRun:
         assert checked > 0
 
     def test_y_relation_holds(self):
-        state = lv_run(3, self.LO, self.HI)
-        checked = 0
-        for u, i in state.forward_points():
-            try:
-                ok = y_rel_holds(state, u, i)
-            except MarginExhausted:
-                continue
-            assert ok
-            checked += 1
-        assert checked > 0
+        for tag in SemifieldTag:
+            state = lv_run(3, self.LO, self.HI, tag=tag)
+            checked = 0
+            for u, i in state.forward_points():
+                try:
+                    ok = y_rel_holds(state, u, i)
+                except MarginExhausted:
+                    continue
+                assert ok
+                checked += 1
+            assert checked > 0
 
     def test_yhat_residuals_vanish(self):
         # the dressed-coefficient stencil reaches five layers up, so this
@@ -77,9 +79,12 @@ class TestLVRun:
         assert checked > 0
 
     def test_report_all_zero(self):
-        state = lv_run(3, self.LO, self.HI)
-        recs = lv_report(state)
-        assert recs and all(r["residual_zero"] for r in recs)
+        for tag in (SemifieldTag.UNIVERSAL, SemifieldTag.TRIVIAL):
+            state = lv_run(3, self.LO, self.HI, tag=tag)
+            recs = lv_report(state)
+            assert recs and all(r["residual_zero"] for r in recs)
+            # trivial coefficients are checked like any others
+            assert any(r["relation"] == "y-rel" for r in recs)
 
     def test_margin_enforced(self):
         state = lv_run(2, -6, 6)

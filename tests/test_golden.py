@@ -6,9 +6,9 @@ The digests pin the exact factored forms: for every layer, every x and y
 value's coefficient, monomial, and each base's sorted terms with its
 exponent.  Any change to the exact kernel must leave them untouched.  The
 universal run includes failing trial divisions; the constant-coefficient run
-(delta = 1) is the one the tau identification reads.  The tropical run keeps
-its x values as gcd-reduced rational functions, so its digest pins the
-canonical num/den pairs and the tropical y exponents.
+(delta = 1) is the one the tau identification reads.  The tropical run's
+digest pins the canonical num/den pairs its x values expand to and the
+tropical y exponents.
 """
 
 import hashlib
@@ -72,7 +72,7 @@ def tropical_digest(state) -> str:
     lines = []
     for u, seed in enumerate(state.seeds):
         for i in sorted(seed.x):
-            v = seed.x[i]
+            v = seed.x[i].expand()
             lines.append(repr((u, "x", i, _sorted_terms(v.num), _sorted_terms(v.den))))
         for i in sorted(seed.y):
             lines.append(repr((u, "y", i, seed.y[i].exps)))

@@ -34,7 +34,6 @@ from clusterflow.poisson import (
     lv_symmetric_P,
     mutate_poisson,
     pb_product,
-    sin_half_pi,
     skew_kernel,
     solve_poisson,
     symbolic_bracket,
@@ -95,13 +94,14 @@ class TestMutationRule:
         B = liouville_even_matrix(2)
         (P, c), = skew_kernel(B)
         seed = mutate_seed(Seed.initial(B, SemifieldTag.TRIVIAL), 0)
+        xs = {i: seed.x[i].expand() for i in B.indices}
         Pm = mutate_poisson(P, B, 0)
         for i in B.indices:
             for j in B.indices:
                 if i >= j:
                     continue
-                val = symbolic_bracket(seed.x[i], seed.x[j], P)
-                coeff = is_log_canonical(seed.x[i], seed.x[j], val)
+                val = symbolic_bracket(xs[i], xs[j], P)
+                coeff = is_log_canonical(xs[i], xs[j], val)
                 assert coeff == Pm.entry(i, j)
 
     def test_incompatible_rejected_with_witness(self):
@@ -276,6 +276,3 @@ class TestFVariables:
                 val = symbolic_bracket(fs[i], fs[j], P)
                 assert is_log_canonical(fs[i], fs[j], val) == pf[a][b]
 
-
-def test_sin_half_pi_pattern():
-    assert [sin_half_pi(n) for n in range(8)] == [0, 1, 0, -1, 0, 1, 0, -1]

@@ -106,6 +106,34 @@ class TestSeparation:
         rep = separation_check(somos4_matrix(), (0, 1))
         assert rep.ok
 
+    def test_witness_five_steps(self):
+        # expanding its universal cluster variables ran for minutes; the
+        # comparison in factored form needs no expansion
+        witness = ExchangeMatrix.from_dense([[0, -2, 1], [2, 0, 1], [-1, -1, 0]])
+        rep = separation_check(witness, (0, 2, 1, 0, 2))
+        assert rep.ok
+
+    def test_wrong_g_or_f_is_caught(self, monkeypatch):
+        g_matrix, f_polynomials = tropical.g_matrix, tropical.f_polynomials
+
+        def bad_g(c):
+            g = [row[:] for row in g_matrix(c)]
+            g[0][0] += 1
+            return g
+
+        def bad_f(matrix, word):
+            f = dict(f_polynomials(matrix, word))
+            f[1] = f[1] + LaurentPoly.variable(yvar(0))
+            return f
+
+        monkeypatch.setattr(tropical, "g_matrix", bad_g)
+        rep = separation_check(somos4_matrix(), (0, 1, 2))
+        assert not rep.x_match[0] and all(rep.y_match.values())
+        monkeypatch.setattr(tropical, "g_matrix", g_matrix)
+        monkeypatch.setattr(tropical, "f_polynomials", bad_f)
+        rep = separation_check(somos4_matrix(), (0, 1, 2))
+        assert not rep.x_match[1] and not rep.y_match[0]
+
     def test_tropical_leading_matches_c_columns(self):
         rep = separation_check(a2_matrix(), (0, 1, 0))
         assert rep.tropical_match
