@@ -540,7 +540,7 @@ def d_liu_residual(state: LiouvilleState, n: int, t: int) -> Factored:
     """
     if not 1 <= t <= state.steps - 1:
         raise MarginExhausted(t, n)
-    one = state.chi(n, t + 1) ** 0
+    one = Factored.one()
     lhs = state.chi(n, t + 1) * state.chi(n, t - 1)
     rhs = (one + state.chi(n - 1, t)) * (one + state.chi(n + 1, t))
     return lhs - rhs
