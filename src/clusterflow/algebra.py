@@ -24,7 +24,6 @@ import os
 import sys
 from array import array
 from collections.abc import ItemsView
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
@@ -85,16 +84,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
-
-
-def mono_inv(a: Mono) -> Mono:
-    return tuple((v, -e) for v, e in a)
-
-
-def mono_pow(a: Mono, n: int) -> Mono:
-    if n == 0:
-        return MONO_ONE
-    return tuple((v, e * n) for v, e in a)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +408,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and 0 in self._t)
 
-    def is_monomial(self) -> bool:
-        return len(self._t) == 1
-
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
@@ -614,14 +600,6 @@ class LaurentPoly:
                 }
             )
         return out
-
-    @staticmethod
-    def from_json(data: list[dict]) -> "LaurentPoly":
-        terms: dict[Mono, Fraction] = {}
-        for t in data:
-            m = mono({int(v): int(e) for v, e in t["exps"].items()})
-            terms[m] = terms.get(m, Fraction(0)) + parse_fraction(t["coeff"])
-        return LaurentPoly(terms)
 
 
 def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
@@ -985,12 +963,6 @@ class RatFunc:
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
 
-    @staticmethod
-    def from_json(data: dict) -> "RatFunc":
-        return RatFunc(
-            LaurentPoly.from_json(data["num"]), LaurentPoly.from_json(data["den"])
-        )
-
 
 def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Reduce a num/den pair to the canonical form described on RatFunc."""
@@ -1029,42 +1001,6 @@ class SemifieldTag(Enum):
     UNIVERSAL = "universal"
     TROPICAL = "tropical"
     TRIVIAL = "trivial"
-
-
-@dataclass(frozen=True)
-class TropPoint:
-    """A tropical-semifield element: an exponent vector on coefficient variables."""
-
-    exps: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def unit() -> "TropPoint":
-        return TropPoint(MONO_ONE)
-
-    @staticmethod
-    def generator(v: int) -> "TropPoint":
-        return TropPoint(((v, 1),))
-
-    def exponent(self, v: int) -> int:
-        return dict(self.exps).get(v, 0)
-
-    def __mul__(self, other: "TropPoint") -> "TropPoint":
-        return TropPoint(mono_mul(self.exps, other.exps))
-
-    def inverse(self) -> "TropPoint":
-        return TropPoint(mono_inv(self.exps))
-
-    def __pow__(self, n: int) -> "TropPoint":
-        return TropPoint(mono_pow(self.exps, n))
-
-    def oplus(self, other: "TropPoint") -> "TropPoint":
-        """Tropical addition: componentwise minimum of exponents."""
-        vs = {v for v, _ in self.exps} | {v for v, _ in other.exps}
-        a, b = dict(self.exps), dict(other.exps)
-        return TropPoint(mono({v: min(a.get(v, 0), b.get(v, 0)) for v in vs}))
-
-    def to_laurent(self) -> LaurentPoly:
-        return LaurentPoly.monomial(self.exps)
 
 
 # ---------------------------------------------------------------------------

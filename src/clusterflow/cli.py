@@ -115,8 +115,11 @@ def _seed_json(seed: Seed) -> dict:
     def y_json(v) -> dict:
         if seed.tag is SemifieldTag.UNIVERSAL:
             return v.expand().to_json()
-        # the trivial semifield's one element prints as 1
-        return {"value": "1" if seed.tag is SemifieldTag.TRIVIAL else str(v)}
+        # the trivial semifield's one element prints as 1, a tropical
+        # monomial as its exponent vector
+        if seed.tag is SemifieldTag.TRIVIAL:
+            return {"value": "1"}
+        return {"value": f"TropPoint(exps={v.mono!r})"}
 
     return {
         "matrix": seed.matrix.to_json(),

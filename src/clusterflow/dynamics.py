@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import RatFunc, SemifieldTag, yvar
 from .factored import Factored
@@ -26,6 +26,7 @@ from .matrices import (
     liouville_even_matrix,
     liouville_odd_matrix,
     lv_matrix,
+    somos4_matrix,
 )
 from .poisson import (
     ExtendedPoisson,
@@ -33,7 +34,7 @@ from .poisson import (
     is_log_canonical,
     symbolic_bracket,
 )
-from .seeds import Seed, embed, mutate_many, one_plus
+from .seeds import Seed, mutate_many, mutate_seed, one_plus
 
 
 class MarginExhausted(LookupError):
@@ -91,7 +92,7 @@ class LVState:
         self._check(u, i)
         return self.seeds[u].x[i]
 
-    def y(self, u: int, i: int):
+    def y(self, u: int, i: int) -> Factored:
         # y_i(u) is written by mutations at every class-(u-1) index within
         # distance 2 of i, so it needs two extra cells of margin beyond the
         # x-trust cone (the initial layer is exact everywhere)
@@ -100,12 +101,9 @@ class LVState:
         self._check(u, i)
         return self.seeds[u].y[i]
 
-    def y_embedded(self, u: int, i: int) -> Factored:
-        return embed(self.tag, self.y(u, i))
-
     def one_plus_y(self, u: int, i: int) -> Factored:
-        """The semifield sum 1 (+) y_i(u), embedded in the field."""
-        return embed(self.tag, one_plus(self.tag, self.y(u, i)))
+        """The semifield sum 1 (+) y_i(u)."""
+        return one_plus(self.tag, self.y(u, i))
 
     def y_hat(self, u: int, i: int) -> Factored:
         """Dressed coefficient at a forward point (u = i mod 3)."""
@@ -113,7 +111,7 @@ class LVState:
             raise ValueError(f"({u},{i}) is not a forward mutation point")
         num = self.x(u + 1, i - 2) * self.x(u + 2, i + 2)
         den = self.x(u + 2, i - 1) * self.x(u + 1, i + 1)
-        return self.y_embedded(u, i) * num / den
+        return self.y(u, i) * num / den
 
     def f_value(self, u: int, i: int) -> Factored:
         """The cluster-monomial factor of the dressed coefficient."""
@@ -189,46 +187,32 @@ def x_rel_residual(state: LVState, u: int, i: int) -> Factored:
     if (u - i) % 3 != 0:
         raise ValueError(f"({u},{i}) is not a forward mutation point")
     lhs = state.x(u, i) * state.x(u + 3, i) * state.one_plus_y(u, i)
-    rhs = state.y_embedded(u, i) * state.x(u + 1, i - 2) * state.x(u + 2, i + 2)
+    rhs = state.y(u, i) * state.x(u + 1, i - 2) * state.x(u + 2, i + 2)
     rhs = rhs + state.x(u + 2, i - 1) * state.x(u + 1, i + 1)
     return lhs - rhs
 
 
-def y_rel_holds(state: LVState, u: int, i: int) -> bool:
-    """Y-system at a forward point, in the seed's own semifield:
-    y_i(u) y_i(u+3) (1 (+) y_{i+1}(u+1)^{-1}) (1 (+) y_{i-1}(u+2)^{-1})
-      = (1 (+) y_{i-2}(u+1)) (1 (+) y_{i+2}(u+2))."""
-    if (u - i) % 3 != 0:
-        raise ValueError(f"({u},{i}) is not a forward mutation point")
-    tag = state.tag
-    lhs = (
-        state.y(u, i)
-        * state.y(u + 3, i)
-        * one_plus(tag, state.y(u + 1, i + 1) ** -1)
-        * one_plus(tag, state.y(u + 2, i - 1) ** -1)
-    )
-    rhs = one_plus(tag, state.y(u + 1, i - 2)) * one_plus(tag, state.y(u + 2, i + 2))
-    return lhs == rhs
-
-
 def y_rel_residual(state: LVState, u: int, i: int) -> Factored:
-    """Field-valued Y-system residual.
+    """Y-system residual at a forward point, in the seed's own semifield:
+    y_i(u) y_i(u+3) (1 (+) y_{i+1}(u+1)^{-1}) (1 (+) y_{i-1}(u+2)^{-1})
+      / ((1 (+) y_{i-2}(u+1)) (1 (+) y_{i+2}(u+2))) - 1.
 
-    Written multiplicatively — (1 + y^{-1}) as (1 (+) y)/y — so that every
-    factor is one the mutation run already produced; for factored values the
-    quotient then cancels structurally instead of forcing a full expansion.
+    Written multiplicatively -- 1 (+) y^{-1} as (1 (+) y)/y, which holds in
+    every semifield -- so that every factor is one the mutation run already
+    produced; the quotient then cancels structurally instead of forcing a
+    full expansion.
     """
     if (u - i) % 3 != 0:
         raise ValueError(f"({u},{i}) is not a forward mutation point")
     num = (
-        state.y_embedded(u, i)
-        * state.y_embedded(u + 3, i)
+        state.y(u, i)
+        * state.y(u + 3, i)
         * state.one_plus_y(u + 1, i + 1)
         * state.one_plus_y(u + 2, i - 1)
     )
     den = (
-        state.y_embedded(u + 1, i + 1)
-        * state.y_embedded(u + 2, i - 1)
+        state.y(u + 1, i + 1)
+        * state.y(u + 2, i - 1)
         * state.one_plus_y(u + 1, i - 2)
         * state.one_plus_y(u + 2, i + 2)
     )
@@ -272,29 +256,17 @@ def somos_sequence(n_terms: int) -> list[Fraction]:
 
     The exchange matrix is mutation-cyclic: mutating at the oldest index
     realizes s_{n+4} s_n = s_{n+3} s_{n+1} + s_{n+2}^2 with trivial
-    coefficients, starting from (1, 1, 1, 1).
+    coefficients, starting from the constant seed (1, 1, 1, 1).
     """
-    from .matrices import somos4_matrix
-
     if n_terms < 0:
         raise ValueError("n_terms must be nonnegative")
-    vals = {i: Fraction(1) for i in range(4)}
-    out = [Fraction(1)] * min(n_terms, 4)
     B = somos4_matrix()
-    step = 0
-    while len(out) < n_terms:
-        k = step % 4
-        pos = Fraction(1)
-        neg = Fraction(1)
-        for i, b in B.column(k).items():
-            if b > 0:
-                pos *= vals[i] ** b
-            else:
-                neg *= vals[i] ** (-b)
-        vals[k] = (pos + neg) / vals[k]
-        out.append(vals[k])
-        B = B.mutate(k)
-        step += 1
+    ones = {i: Factored.one() for i in B.indices}
+    seed = Seed(B, ones, ones, SemifieldTag.TRIVIAL)
+    out = [Fraction(1)] * min(n_terms, 4)
+    for n in range(4, n_terms):
+        seed = mutate_seed(seed, n % 4)
+        out.append(seed.x[n % 4].constant_value())
     return out
 
 
@@ -314,27 +286,20 @@ class TauLattice:
     """
 
     delta: Fraction
-    tau: dict  # (n, t) -> Fraction | Factored
+    tau: dict[tuple[int, int], Factored]
 
-    def _lift(self, c: Fraction):
-        for v in self.tau.values():
-            if not isinstance(v, Fraction):
-                return type(v).constant(c)
-            break
-        return Fraction(c)
-
-    def u_value(self, n: int, t: int):
+    def u_value(self, n: int, t: int) -> Factored | None:
         """u^t_n, or None if some stencil value is unknown."""
         need = [(n, t + 1), (n + 1, t - 1), (n + 1, t), (n, t)]
         if any(s not in self.tau for s in need):
             return None
         num = self.tau[(n, t + 1)] * self.tau[(n + 1, t - 1)]
         den = self.tau[(n + 1, t)] * self.tau[(n, t)]
-        if _is_zero(den):
+        if den.is_zero():
             raise LatticeZeroDivision((n, t))
         return num / den
 
-    def u1_residual(self, n: int, t: int):
+    def u1_residual(self, n: int, t: int) -> Factored | None:
         """Residual of u^{t+1}_{n+1} (1 + d u^t_{n+1}) - u^t_n (1 + d u^{t+1}_n),
         or None where the stencil is incomplete."""
         vals = {
@@ -345,22 +310,18 @@ class TauLattice:
         }
         if any(v is None for v in vals.values()):
             return None
-        d = self._lift(self.delta)
-        one = self._lift(Fraction(1))
+        d = Factored.constant(self.delta)
+        one = Factored.one()
         return vals["a"] * (one + d * vals["b"]) - vals["c"] * (one + d * vals["d"])
 
 
-def _is_zero(v) -> bool:
-    return v == 0 if isinstance(v, Fraction) else v.is_zero()
-
-
-def tau_run(delta: Fraction, init: Mapping[tuple[int, int], object], steps: int) -> TauLattice:
+def tau_run(delta: Fraction, init: Mapping[tuple[int, int], Factored], steps: int) -> TauLattice:
     """Propagate the bilinear recursion from seeded sites.
 
-    init maps (n, t) to Fraction or Factored values.  Each pass fills every
-    site whose stencil (the four earlier sites) is already known; `steps`
-    bounds the number of passes, so the computable cone grows by at most one
-    diagonal per pass.
+    init maps (n, t) to tau values.  Each pass fills every site whose
+    stencil (the four earlier sites) is already known; `steps` bounds the
+    number of passes, so the computable cone grows by at most one diagonal
+    per pass.
     """
     delta = Fraction(delta)
     if 1 + delta == 0:
@@ -369,8 +330,8 @@ def tau_run(delta: Fraction, init: Mapping[tuple[int, int], object], steps: int)
     tau = lattice.tau
     if not tau:
         return lattice
-    a = lattice._lift(delta / (1 + delta))
-    b = lattice._lift(Fraction(1) / (1 + delta))
+    a = Factored.constant(delta / (1 + delta))
+    b = Factored.constant(1 / (1 + delta))
     for _ in range(steps):
         ns = [n for n, _ in tau]
         ts = [t for _, t in tau]
@@ -386,7 +347,7 @@ def tau_run(delta: Fraction, init: Mapping[tuple[int, int], object], steps: int)
             break
         for n, t in frontier:
             den = tau[(n - 1, t - 2)]
-            if _is_zero(den):
+            if den.is_zero():
                 raise LatticeZeroDivision((n - 1, t - 2))
             num = a * tau[(n, t - 2)] * tau[(n - 1, t)] + b * tau[(n - 1, t - 1)] * tau[(n, t - 1)]
             tau[(n, t)] = num / den
@@ -443,7 +404,7 @@ def identify_lv(state: LVState, lattice: TauLattice) -> IdentificationReport:
         compared += 1
         if lattice.tau[(n, t)] != state.x(u, i):
             mismatches.append(("tau", (n, t)))
-    delta_lift = lattice._lift(state.delta)
+    d = Factored.constant(state.delta)
     u_compared = 0
     for u, i in state.forward_points():
         t, n = tn_from_ui(u, i)
@@ -462,7 +423,7 @@ def identify_lv(state: LVState, lattice: TauLattice) -> IdentificationReport:
         except MarginExhausted:
             continue
         u_compared += 1
-        if delta_lift * uv != yh:
+        if d * uv != yh:
             mismatches.append(("u", (n, t)))
     return IdentificationReport(
         sites_compared=compared,
@@ -505,7 +466,7 @@ class LiouvilleState:
             idx = n % self.N
         else:
             idx = 2 * (n % self.N) + (t % 2)
-        return embed(seed.tag, seed.y[idx])
+        return seed.y[idx]
 
 
 def liouville_run(N: int, steps: int) -> LiouvilleState:

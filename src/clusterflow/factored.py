@@ -1,8 +1,9 @@
 """Factored field values: exact arithmetic that never computes a gcd.
 
-Every seed's cluster variables, and its universal coefficients, are
-`Factored` values; `expand()` turns one into a canonical `RatFunc` for
-output and for the bracket oracle.
+Every seed's cluster variables and coefficients are `Factored` values
+(tropical and trivial coefficients are monomials with coefficient 1);
+`expand()` turns one into a canonical `RatFunc` for output and for the
+bracket oracle.
 
 Seed mutation is multiplicative except for a single sum per exchange, so a
 value is kept as

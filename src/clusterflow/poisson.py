@@ -24,7 +24,6 @@ from . import linalg
 from .algebra import (
     RatFunc,
     format_fraction,
-    parse_fraction,
     xvar,
     yvar,
 )
@@ -135,16 +134,6 @@ class PoissonMatrix:
         if self.c is not None:
             out["c"] = format_fraction(self.c)
         return out
-
-    @staticmethod
-    def from_json(data: dict) -> "PoissonMatrix":
-        n = int(data["n"])
-        indices = tuple(data.get("indices", range(n)))
-        entries = {
-            (int(i), int(j)): parse_fraction(v) for i, j, v in data["p"]
-        }
-        c = parse_fraction(data["c"]) if "c" in data else None
-        return PoissonMatrix(indices, entries, c=c)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +390,6 @@ class LVPoissonParams:
         upper = self.block(j, i)
         return [[-upper[s][r] for s in range(3)] for r in range(3)]
 
-    def to_json(self) -> dict:
-        return {
-            "kind": "lv_general",
-            "a0": format_fraction(Fraction(self.a0)),
-            "b0": format_fraction(Fraction(self.b0)),
-            "c0": format_fraction(Fraction(self.c0)),
-            "a": {str(k): format_fraction(Fraction(v)) for k, v in self.a.items()},
-            "b": {str(k): format_fraction(Fraction(v)) for k, v in self.b.items()},
-            "q": [[i, j, format_fraction(Fraction(v))] for (i, j), v in sorted(self.q.items())],
-        }
-
 
 @dataclass(frozen=True)
 class SymLVParams:
@@ -421,34 +399,17 @@ class SymLVParams:
     a0: Fraction = Fraction(0)
     q: Mapping[int, Fraction] = field(default_factory=dict)
 
-    def q_at(self, k: int) -> Fraction:
-        if k == 0:
-            return Fraction(0)
-        if k < 0:
-            raise ValueError("q is indexed by positive block distance")
-        return Fraction(self.q.get(k, 0))
-
-    def block(self, i: int, j: int) -> list[list[Fraction]]:
+    def general(self, lo: int, hi: int) -> LVPoissonParams:
+        """The same structure on block indices lo..hi as a member of the
+        general family: b0 = 2 a0, c0 = a0, a = b = 0, q_ij = q_{j-i}."""
         a0 = Fraction(self.a0)
-        p00 = [
-            [Fraction(0), a0, 2 * a0],
-            [-a0, Fraction(0), a0],
-            [-2 * a0, -a0, Fraction(0)],
-        ]
-        if i == j:
-            return p00
-        if i < j:
-            qv = self.q_at(j - i)
-            return [[p00[r][s] + qv for s in range(3)] for r in range(3)]
-        upper = self.block(j, i)
-        return [[-upper[s][r] for s in range(3)] for r in range(3)]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "lv_symmetric",
-            "a0": format_fraction(Fraction(self.a0)),
-            "q": {str(k): format_fraction(Fraction(v)) for k, v in self.q.items()},
+        q = {
+            (i, j): self.q[j - i]
+            for i in range(lo, hi + 1)
+            for j in range(i + 1, hi + 1)
+            if j - i in self.q
         }
+        return LVPoissonParams(a0=a0, b0=2 * a0, c0=a0, q=q)
 
 
 def _blocks_to_poisson(
@@ -474,7 +435,7 @@ def lv_general_P(params: LVPoissonParams, lo: int, hi: int) -> PoissonMatrix:
 
 def lv_symmetric_P(params: SymLVParams, lo: int, hi: int) -> PoissonMatrix:
     """Windowed shift-symmetric PB = O solution on block indices lo..hi."""
-    return _blocks_to_poisson(params.block, lo, hi)
+    return lv_general_P(params.general(lo, hi), lo, hi)
 
 
 @dataclass(frozen=True)

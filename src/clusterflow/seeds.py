@@ -1,13 +1,13 @@
 """Seeds and mutation in a chosen coefficient semifield.
 
 A seed is an exchange matrix together with a cluster variable and a
-coefficient per index.  Cluster variables are `Factored` values of the field
-of rational functions.  Coefficients live in the semifield named by the
-seed's tag: universal coefficients are `Factored` values too, tropical ones
-are `TropPoint`s, and the trivial semifield {1} is the tropical semifield on
-no generators, so its one element is the empty `TropPoint`.  The semifield
-rules are `one_plus` (1 (+) y) and `embed` (the image of y in the field);
-the exchange relation goes through both.
+coefficient per index, all `Factored` values of the field of rational
+functions.  Coefficients live in the semifield named by the seed's tag.
+Universal coefficients are rational functions of the initial y.  Tropical
+ones are Laurent monomials in the initial y, and the trivial semifield {1} is
+the tropical semifield on no generators, so its one element is 1.  The
+semifields differ only in their sum, so `one_plus` (1 (+) y) is the one rule
+that reads the tag.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .algebra import SemifieldTag, TropPoint, _pack, xvar, yvar
+from .algebra import SemifieldTag, _key_min, xvar, yvar
 from .factored import Factored
 from .matrices import ExchangeMatrix
 
@@ -28,45 +28,38 @@ class CommutationError(ValueError):
 class Seed:
     matrix: ExchangeMatrix
     x: dict[int, Factored]
-    y: dict  # Factored (universal) or TropPoint (tropical, trivial)
+    y: dict[int, Factored]
     tag: SemifieldTag
 
     @staticmethod
     def initial(
         matrix: ExchangeMatrix,
         tag: SemifieldTag = SemifieldTag.UNIVERSAL,
-        y_values: Mapping[int, object] | None = None,
+        y_values: Mapping[int, Factored] | None = None,
     ) -> "Seed":
-        """Seed with x_i the generators and y_i either generators or given."""
+        """Seed with x_i the generators and y_i the generators (1 for the
+        trivial semifield) or given."""
         x = {i: Factored.variable(xvar(i)) for i in matrix.indices}
         if y_values is not None:
             y = dict(y_values)
-        elif tag is SemifieldTag.UNIVERSAL:
-            y = {i: Factored.variable(yvar(i)) for i in matrix.indices}
-        elif tag is SemifieldTag.TROPICAL:
-            y = {i: TropPoint.generator(yvar(i)) for i in matrix.indices}
+        elif tag is SemifieldTag.TRIVIAL:
+            y = {i: Factored.one() for i in matrix.indices}
         else:
-            y = {i: TropPoint.unit() for i in matrix.indices}
+            y = {i: Factored.variable(yvar(i)) for i in matrix.indices}
         return Seed(matrix, x, y, tag)
 
 
-def one_plus(tag: SemifieldTag, y):
-    """The semifield sum 1 (+) y."""
+def one_plus(tag: SemifieldTag, y: Factored) -> Factored:
+    """The semifield sum 1 (+) y: the field sum for universal coefficients,
+    else the per-variable minimum of the exponents of 1 and the monomial y."""
     if tag is SemifieldTag.UNIVERSAL:
         return Factored.one() + y
-    return TropPoint.unit().oplus(y)
-
-
-def embed(tag: SemifieldTag, y) -> Factored:
-    """The image of a semifield element in the field of cluster variables."""
-    if tag is SemifieldTag.UNIVERSAL:
-        return y
-    return Factored(1, _pack(y.exps))
+    return Factored(1, _key_min(0, y.key))
 
 
 def mutate_coefficients(
-    matrix: ExchangeMatrix, y: Mapping[int, object], k: int, tag: SemifieldTag
-) -> tuple[dict, object]:
+    matrix: ExchangeMatrix, y: Mapping[int, Factored], k: int, tag: SemifieldTag
+) -> tuple[dict[int, Factored], Factored]:
     """Coefficient mutation at index k under the exchange matrix before the
     mutation: the new coefficients and the semifield sum 1 (+) y_k."""
     yk = y[k]
@@ -84,9 +77,7 @@ def mutate_coefficients(
 def mutate_seed(seed: Seed, k: int) -> Seed:
     """Seed mutation at index k.  Involutive: mutate_seed(mutate_seed(s,k),k) == s."""
     b = seed.matrix
-    tag = seed.tag
-    yk = seed.y[k]
-    new_y, one_plus_yk = mutate_coefficients(b, seed.y, k, tag)
+    new_y, one_plus_yk = mutate_coefficients(b, seed.y, k, seed.tag)
 
     # exchange relation for the cluster variable at k
     pos = neg = Factored.one()
@@ -95,12 +86,12 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
             pos = pos * seed.x[i] ** bik
         else:
             neg = neg * seed.x[i] ** (-bik)
-    num = embed(tag, yk) * pos + neg
-    den = embed(tag, one_plus_yk) * seed.x[k]
+    num = seed.y[k] * pos + neg
+    den = one_plus_yk * seed.x[k]
     new_x = dict(seed.x)
     new_x[k] = num / den
 
-    return Seed(b.mutate(k), new_x, new_y, tag)
+    return Seed(b.mutate(k), new_x, new_y, seed.tag)
 
 
 def mutate_many(seed: Seed, ks: Sequence[int]) -> Seed:

@@ -21,7 +21,6 @@ from .algebra import (
     LaurentPoly,
     RatFunc,
     SemifieldTag,
-    TropPoint,
     mono,
     xvar,
     yvar,
@@ -79,10 +78,11 @@ def _c_mutate(
     return out
 
 
-def _tropical_c_columns(idx: list[int], y: dict[int, TropPoint]) -> list[list[int]]:
+def _tropical_c_columns(idx: list[int], y: dict[int, Factored]) -> list[list[int]]:
     """C-matrix read off tropical coefficients: column i is the exponent
-    vector of the tropical coefficient y'_i."""
-    return [[y[i].exponent(yvar(j)) for i in idx] for j in idx]
+    vector of the monomial y'_i."""
+    exps = {i: dict(y[i].mono) for i in idx}
+    return [[exps[i].get(yvar(j), 0) for i in idx] for j in idx]
 
 
 def c_walk(

@@ -43,6 +43,7 @@ from .dynamics import (
     lv_report,
     lv_run,
     lv_tau_lattice,
+    tau_run,
 )
 
 
@@ -396,17 +397,23 @@ def lv_suite(depth: int = 4, lo: int = -12, hi: int = 14) -> list[dict]:
 
 
 def tau_suite(depth: int = 4, lo: int = -12, hi: int = 14, delta: Fraction = Fraction(1)) -> list[dict]:
+    """Compare a constant-coefficient run with an independent tau lattice: the
+    bilinear recursion, seeded with the run's layers u <= 2 and run for
+    depth - 2 passes.  `computed` counts the shared sites the recursion
+    filled in; a comparison with none of them checks nothing and fails."""
     state = lv_run(depth, lo, hi, delta=Fraction(delta))
-    lattice = lv_tau_lattice(state)
-    rep = identify_lv(state, lattice)
+    seed = lv_tau_lattice(state, max_u=2).tau
+    rep = identify_lv(state, tau_run(state.delta, seed, depth - 2))
+    computed = rep.sites_compared - len(seed)
     return [
         _record(
             "tau",
             "identification",
-            rep.ok,
+            rep.ok and computed > 0,
             {
                 "sites": rep.sites_compared,
                 "u_sites": rep.u_sites_compared,
+                "computed": computed,
                 "mismatches": [list(map(str, mm)) for mm in rep.mismatches],
             },
         )

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from clusterflow.algebra import SemifieldTag
+from clusterflow.factored import Factored
 from clusterflow.dynamics import (
     LatticeZeroDivision,
     MarginExhausted,
@@ -20,10 +21,12 @@ from clusterflow.dynamics import (
     somos_sequence,
     tn_from_ui,
     ui_from_tn,
+    tau_run,
     x_rel_residual,
-    y_rel_holds,
+    y_rel_residual,
     yhat_rel_residual,
 )
+from clusterflow.verify import tau_suite
 
 
 class TestSomos:
@@ -57,10 +60,10 @@ class TestLVRun:
             checked = 0
             for u, i in state.forward_points():
                 try:
-                    ok = y_rel_holds(state, u, i)
+                    r = y_rel_residual(state, u, i)
                 except MarginExhausted:
                     continue
-                assert ok
+                assert r.is_zero()
                 checked += 1
             assert checked > 0
 
@@ -113,6 +116,24 @@ class TestTauIdentification:
         rep = identify_lv(state, lattice)
         assert rep.ok, rep.mismatches
 
+    def test_independent_lattice_catches_a_wrong_seed_value(self):
+        # the recursion carries a wrong seeded tau value into the sites it
+        # computes, and identify_lv reports them
+        state = lv_run(4, -12, 14, delta=Fraction(1))
+        seed = lv_tau_lattice(state, max_u=2).tau
+        assert identify_lv(state, tau_run(state.delta, seed, 2)).ok
+        seed[(0, 0)] = Factored.constant(2) * seed[(0, 0)]
+        rep = identify_lv(state, tau_run(state.delta, seed, 2))
+        assert not rep.ok
+        assert any(site not in seed for _, site in rep.mismatches)
+
+    def test_tau_suite_needs_computed_sites(self):
+        (rec,) = tau_suite(depth=4, lo=-12, hi=14)
+        assert rec["ok"] and rec["witness"]["computed"] == 4
+        # at depth 2 the recursion runs no pass, so nothing is checked
+        (rec,) = tau_suite(depth=2, lo=-9, hi=10)
+        assert not rec["ok"] and rec["witness"]["computed"] == 0
+
     def test_u1_residuals(self):
         state = lv_run(3, -12, 14, delta=Fraction(1))
         lattice = lv_tau_lattice(state)
@@ -121,7 +142,7 @@ class TestTauIdentification:
             r = lattice.u1_residual(n, t)
             if r is None:
                 continue
-            assert r == 0 if isinstance(r, Fraction) else r.is_zero()
+            assert r.is_zero()
             checked += 1
         assert checked > 0
 

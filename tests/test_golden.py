@@ -75,7 +75,7 @@ def tropical_digest(state) -> str:
             v = seed.x[i].expand()
             lines.append(repr((u, "x", i, _sorted_terms(v.num), _sorted_terms(v.den))))
         for i in sorted(seed.y):
-            lines.append(repr((u, "y", i, seed.y[i].exps)))
+            lines.append(repr((u, "y", i, seed.y[i].mono)))
     return _digest(lines)
 
 
