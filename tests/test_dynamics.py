@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from clusterflow.algebra import SemifieldTag
-from clusterflow.factored import Factored
 from clusterflow.dynamics import (
     LatticeZeroDivision,
     MarginExhausted,
@@ -19,13 +18,14 @@ from clusterflow.dynamics import (
     lv_run,
     lv_tau_lattice,
     somos_sequence,
+    tau_run,
     tn_from_ui,
     ui_from_tn,
-    tau_run,
     x_rel_residual,
     y_rel_residual,
     yhat_rel_residual,
 )
+from clusterflow.factored import Factored
 from clusterflow.verify import tau_suite
 
 
