@@ -10,9 +10,8 @@ int) coefficients, with no zero coefficients stored, so equality is
 structural.  `LaurentPoly.terms` is a read-only Mapping view keyed by Mono.
 
 Rational functions are reduced num/den pairs.  Reduction first tries exact
-division, and otherwise uses multivariate polynomial GCD (content /
-primitive-part recursion with a primitive pseudo-remainder sequence); the
-denominator is kept as a primitive true polynomial with positive leading
+division, and otherwise uses the heuristic multivariate polynomial GCD
+(GCDHEU); the denominator is kept as a primitive true polynomial with positive leading
 coefficient, and collapses to 1 whenever the quotient is itself a Laurent
 polynomial.
 """
@@ -675,93 +674,8 @@ def try_exact_div(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate GCD (content / primitive-part recursion, primitive PRS)
+# Multivariate GCD (GCDHEU)
 # ---------------------------------------------------------------------------
-
-
-def _coeffs_in(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
-    """Split p (a true polynomial) by the degree of v."""
-    shift = _SLOT[v]
-    out: dict[int, dict[int, Fraction]] = {}
-    for k, c in p._t.items():
-        e = _field(k, shift)
-        out.setdefault(e, {})[k - (e << shift)] = c
-    return {e: _poly(t) for e, t in out.items()}
-
-
-def _from_coeffs(coeffs: Mapping[int, LaurentPoly], v: int) -> LaurentPoly:
-    shift = _SLOT[v]
-    terms: dict[int, Fraction] = {}
-    for e, p in coeffs.items():
-        ek = e << shift
-        for k, c in p._t.items():
-            terms[k + ek] = c
-    return _poly(terms)
-
-
-def _poly_content_pp(p: LaurentPoly, v: int) -> tuple[LaurentPoly, "list[LaurentPoly]"]:
-    """Content (gcd of v-coefficients) and dense primitive coefficient list."""
-    coeffs = _coeffs_in(p, v)
-    deg = max(coeffs)
-    cont = LaurentPoly.zero()
-    # fewest terms first, whose gcd is cheapest and likeliest to be 1; the
-    # order follows neither term order nor the variable registry
-    for _, c in sorted(coeffs.items(), key=lambda ec: (len(ec[1]._t), ec[0])):
-        cont = poly_gcd(cont, c)
-        if cont.is_one():
-            break
-    dense = []
-    for e in range(deg + 1):
-        ce = coeffs.get(e, LaurentPoly.zero())
-        dense.append(ce if cont.is_one() else exact_div_laurent(ce, cont) if not ce.is_zero() else ce)
-    return cont, dense
-
-
-def _dense_degree(a: list[LaurentPoly]) -> int:
-    for i in range(len(a) - 1, -1, -1):
-        if not a[i].is_zero():
-            return i
-    return -1
-
-
-def _dense_prem(a: list[LaurentPoly], b: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Pseudo-remainder of dense coefficient lists (main variable implicit)."""
-    da, db = _dense_degree(a), _dense_degree(b)
-    lb = b[db]
-    r = list(a)
-    while True:
-        dr = _dense_degree(r)
-        if dr < db:
-            return r[: max(dr + 1, 0)]
-        lr = r[dr]
-        r = [c * lb for c in r]
-        for i in range(db + 1):
-            r[dr - db + i] = r[dr - db + i] - lr * b[i]
-        r = r[:dr]  # leading term cancelled
-        if not r:
-            return []
-
-
-def _dense_scalar_primitive(a: list[LaurentPoly]) -> list[LaurentPoly]:
-    """Divide out the common scalar content so coefficients stay coprime ints;
-    without this the pseudo-remainder loop compounds huge fractions."""
-    c = _content(x for p in a for x in p._t.values())
-    if not c or c == 1:
-        return a
-    inv = 1 / c
-    return [p.scale(inv) if not p.is_zero() else p for p in a]
-
-
-def _dense_primitive(a: list[LaurentPoly]) -> list[LaurentPoly]:
-    a = _dense_scalar_primitive(a)
-    cont = LaurentPoly.zero()
-    for c in a:
-        cont = poly_gcd(cont, c)
-        if cont.is_one():
-            return a
-    if cont.is_zero() or cont.is_one():
-        return a
-    return [exact_div_laurent(c, cont) if not c.is_zero() else c for c in a]
 
 
 def _lead_sign_unit(p: LaurentPoly) -> Fraction:
@@ -779,6 +693,99 @@ def _canonical_unit(p: LaurentPoly) -> LaurentPoly:
     return p.scale(1 / _lead_sign_unit(p))
 
 
+def _heu_gcd(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    """gcd of two nonzero integer polynomials (nonnegative packed keys), up
+    to sign.
+
+    GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989): put one
+    variable v at a large integer xi, take the gcd of the images recursively
+    (an integer gcd once no variable is left), read the candidate back from
+    the balanced xi-adic digits of its coefficients as powers of v and keep
+    it when it divides both operands.  With xi >= 2 min(|f|, |g|) + 2 (max
+    norms) a primitive candidate that divides both is the gcd, so every xi
+    tried stays above that bound.  A candidate fails only at an unlucky xi:
+    one where the cofactors' images share a factor in the other variables
+    (finitely many xi), or where an integer factor of both images, which
+    divides the content of the cofactors' resultant in v, pushes a digit
+    past xi / 2; growing xi ends both.  No remainder sequence is formed, so
+    its coefficient swell cannot occur.  Variables are evaluated in id
+    order, so the work follows neither term order nor the variable
+    registry.
+    """
+    # monomial content: a power of a variable is prime, and the remaining
+    # cofactors have no monomial factor, so neither may the candidate
+    f_lo, g_lo = _key_range(f)[0], _key_range(g)[0]
+    unit = _key_min(f_lo, g_lo)
+    if f_lo:
+        f = {k - f_lo: c for k, c in f.items()}
+    if g_lo:
+        g = {k - g_lo: c for k, c in g.items()}
+    # common integer content
+    cont = math.gcd(*f.values(), *g.values())
+    if cont != 1:
+        f = {k: c // cont for k, c in f.items()}
+        g = {k: c // cont for k, c in g.items()}
+    f_hi, g_hi = _key_range(f)[1], _key_range(g)[1]
+    if not f_hi or not g_hi:  # a constant: the gcd is an integer
+        return {unit: cont * math.gcd(*f.values(), *g.values())}
+    f_deg, g_deg = _digits(f_hi), _digits(g_hi)
+    field = next(i for i in _VAR_ORDER if f_deg[i] != EXP_LIMIT or g_deg[i] != EXP_LIMIT)
+    shift = FIELD_BITS * field
+    # the candidate divides both, so its degree in v is at most this
+    top = min(f_deg[field], g_deg[field]) - EXP_LIMIT
+    f_norm = max(map(abs, f.values()))
+    g_norm = max(map(abs, g.values()))
+    xi = 2 * min(f_norm, g_norm) + 29
+    while True:
+        f_xi, g_xi = _heu_eval(f, shift, xi), _heu_eval(g, shift, xi)
+        if f_xi and g_xi:
+            cand = _heu_interp(_heu_gcd(f_xi, g_xi), shift, xi, top)
+            if cand is not None:
+                c = math.gcd(*cand.values())
+                if c != 1:
+                    cand = {k: v // c for k, v in cand.items()}
+                if (
+                    not _key_range(cand)[0]
+                    and try_exact_div(_poly(f), _poly(cand)) is not None
+                    and try_exact_div(_poly(g), _poly(cand)) is not None
+                ):
+                    return {k + unit: v * cont for k, v in cand.items()}
+        xi = xi * 3 + math.isqrt(math.isqrt(xi))
+
+
+def _heu_eval(f: dict[int, int], shift: int, xi: int) -> dict[int, int]:
+    """f with the variable in the field at bit offset shift put at xi."""
+    powers = [1]
+    out: dict[int, int] = {}
+    for k, c in f.items():
+        e = (k >> shift) & _FILL
+        while len(powers) <= e:
+            powers.append(powers[-1] * xi)
+        k -= e << shift
+        out[k] = out.get(k, 0) + c * powers[e]
+    return {k: c for k, c in out.items() if c}
+
+
+def _heu_interp(h: dict[int, int], shift: int, xi: int, top: int) -> dict[int, int] | None:
+    """Read each coefficient of h as balanced xi-adic digits, the i-th digit
+    the coefficient of v**i; None if a digit lands above degree top."""
+    half = xi // 2
+    out: dict[int, int] = {}
+    for k, c in h.items():
+        e = 0
+        while c:
+            if e > top:
+                return None
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                out[k + (e << shift)] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """GCD of two true polynomials, canonically normalized (1 for coprime)."""
     if a.is_zero():
@@ -792,28 +799,15 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.one()
     a = _canonical_unit(a)
     b = _canonical_unit(b)
-    # main variable: smallest combined degree keeps the PRS short; ties go
-    # to the smallest id, so the choice follows neither term order nor the
-    # registry
-    def vdeg(p: LaurentPoly, v: int) -> int:
-        return _field(p._range()[1], _SLOT[v])
-
-    v = min(common, key=lambda w: (vdeg(a, w) + vdeg(b, w), w))
-    cont_a, pa = _poly_content_pp(a, v)
-    cont_b, pb = _poly_content_pp(b, v)
-    cont = poly_gcd(cont_a, cont_b)
-    if _dense_degree(pa) < _dense_degree(pb):
-        pa, pb = pb, pa
-    while True:
-        r = _dense_prem(pa, pb)
-        if _dense_degree(r) < 0:
-            break
-        pa, pb = pb, _dense_primitive(r)
-    g = _dense_primitive(pb)
-    result = _from_coeffs({e: c for e, c in enumerate(g)}, v)
-    if not cont.is_one():
-        result = result * cont
-    return _canonical_unit(result)
+    # canonical parts have coprime integer coefficients
+    return _canonical_unit(
+        _poly(
+            _heu_gcd(
+                {k: c.numerator for k, c in a._t.items()},
+                {k: c.numerator for k, c in b._t.items()},
+            )
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact Laurent-polynomial and rational-function arithmetic."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -234,16 +235,17 @@ def _reversed(p: LaurentPoly) -> LaurentPoly:
 
 
 def _gcd_calls(a: LaurentPoly, b: LaurentPoly) -> tuple[int, LaurentPoly]:
+    # the heuristic gcd's calls: one per evaluation point at every level
     calls = 0
-    gcd = algebra.poly_gcd
+    heu = algebra._heu_gcd
 
     def counting(p, q):
         nonlocal calls
         calls += 1
-        return gcd(p, q)
+        return heu(p, q)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(algebra, "poly_gcd", counting)
+        m.setattr(algebra, "_heu_gcd", counting)
         g = algebra.poly_gcd(a, b)
     return calls, g
 
@@ -272,3 +274,30 @@ def test_gcd_work_does_not_depend_on_term_order_or_labels(g, p, q):
     calls, want = _gcd_calls(a, b)
     assert _gcd_calls(_reversed(a), _reversed(b)) == (calls, want)
     assert _gcd_calls(_relabel(a), _relabel(b)) == (calls, _relabel(want))
+
+
+def test_gcd_of_a_draw_that_swelled_the_prs():
+    # a draw of the test above on which the primitive pseudo-remainder
+    # sequence that poly_gcd used to run took minutes: its remainders reached
+    # degree 220 in an inner content gcd
+    v = {i: x(i) for i in GCD_VARS}
+    g = c(2) * v[2]
+    p = c(4) + c(3) * v[2] ** 2 + c(3) * v[5] ** 3 + v[-3] ** 3 * v[2]
+    q = (
+        c(4) * v[-3] * v[0] ** 2
+        + c(2) * v[-3] ** 2 * v[5]
+        + c(2) * v[0] ** 2 * v[5] ** 3
+        + c(3) * v[0] ** 3 * v[2] ** 3
+    )
+
+    def stop(signum, frame):
+        raise TimeoutError("poly_gcd ran for more than 10 s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        d = poly_gcd(g * p, g * q)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert d == v[2]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterflow.algebra import RatFunc, SemifieldTag, xvar, yvar
+from clusterflow.algebra import RatFunc, SemifieldTag, var_kind, xvar, yvar
 from clusterflow.factored import Factored
 from clusterflow.matrices import ExchangeMatrix, a2_matrix, somos4_matrix
 from clusterflow.seeds import CommutationError, Seed, apply_word, mutate_many, mutate_seed
@@ -79,11 +79,13 @@ class TestInvolutivity:
 
 
 class TestLaurent:
-    # universal cluster variables are Laurent over rational functions of y;
-    # showing it means expanding them, and some of those gcds run for
-    # seconds, so only the semifields with monomial coefficients take part
+    # with monomial coefficients a cluster variable is a Laurent polynomial;
+    # a universal one is Laurent in x over rational functions of y, so its
+    # reduced denominator holds y variables only
     @pytest.mark.parametrize(
-        "tag", [SemifieldTag.TROPICAL, SemifieldTag.TRIVIAL], ids=lambda t: t.value
+        "tag",
+        [SemifieldTag.TROPICAL, SemifieldTag.TRIVIAL, SemifieldTag.UNIVERSAL],
+        ids=lambda t: t.value,
     )
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
@@ -95,7 +97,11 @@ class TestLaurent:
         for i in B.indices:
             assert isinstance(seed.x[i], Factored)
             assert isinstance(seed.y[i], Factored)
-            assert seed.x[i].expand().den.is_one()
+            den = seed.x[i].expand().den
+            if tag is SemifieldTag.UNIVERSAL:
+                assert all(var_kind(v)[0] == "y" for v in den.variables())
+            else:
+                assert den.is_one()
 
 
 class TestCompositeMutation:
