@@ -1,19 +1,22 @@
-"""Exact sparse Laurent-polynomial and rational-function arithmetic over Q.
+"""Exact sparse Laurent-polynomial and rational-function arithmetic.
 
 A monomial is written at the boundaries as a Mono: a sorted tuple of
 (variable index, exponent) pairs with no zero exponents.  Exponents may be
 negative (Laurent), and variable indices are plain integers that may be
 negative.  Inside a LaurentPoly every monomial is a packed exponent vector,
 one int (see "Packed exponent vectors" below), so multiplying monomials is
-adding ints.  A Laurent polynomial maps packed monomials to Fraction (or
-int) coefficients, with no zero coefficients stored, so equality is
-structural.  `LaurentPoly.terms` is a read-only Mapping view keyed by Mono.
+adding ints.  A Laurent polynomial maps packed monomials to int
+coefficients, with no zero coefficients stored, so equality is structural.
+`LaurentPoly.terms` is a read-only Mapping view keyed by Mono.  Exact
+division works over the integers; by Gauss's lemma it agrees with division
+over Q whenever the divisor is primitive (its coefficients coprime).
 
-Rational functions are reduced num/den pairs.  Reduction first tries exact
-division, and otherwise uses the heuristic multivariate polynomial GCD
-(GCDHEU); the denominator is kept as a primitive true polynomial with positive leading
-coefficient, and collapses to 1 whenever the quotient is itself a Laurent
-polynomial.
+Rational numbers live only in a RatFunc, whose num and den are integer
+polynomials with no common factor, integer content included.  Reduction
+first tries exact division, and otherwise uses the heuristic multivariate
+polynomial GCD (GCDHEU); the denominator is kept as a true polynomial with
+positive leading coefficient, and is constant exactly when the value is a
+Laurent polynomial.
 """
 
 from __future__ import annotations
@@ -193,6 +196,10 @@ def _key_div(a: int, b: int) -> int:
 
 
 def _key_pow(a: int, n: int) -> int:
+    if n == 1:
+        return a
+    if n == -1:
+        return _key_div(0, a)
     if any(not -EXP_LIMIT <= e * n < EXP_LIMIT for _, e in _unpack(a)):
         raise ExponentOverflow(f"monomial power {n} leaves the exponent range")
     return a * n
@@ -276,21 +283,14 @@ def _tuple_first(keys: Mapping[int, object]) -> int:
     return cands[0]
 
 
-def _content(cs: Iterable) -> Fraction:
-    """gcd of rational numbers (positive), 0 when there are none."""
-    cs = list(cs)
-    try:
-        return Fraction(math.gcd(*cs))
-    except TypeError:  # not all integers
-        return Fraction(
-            math.gcd(*(c.numerator for c in cs)), math.lcm(*(c.denominator for c in cs))
-        )
-
-
-def _intify(c):
-    """Store integral coefficients as plain ints (ints satisfy the Rational
-    protocol, hash like equal Fractions, and multiply much faster)."""
-    return c.numerator if c.denominator == 1 else c
+def _integer(c) -> int:
+    """An integral coefficient (an int, or e.g. Fraction(3)) as an int."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    if q.denominator != 1:
+        raise ValueError(f"LaurentPoly coefficients are integers, not {c}")
+    return q.numerator
 
 
 class _TermItems(ItemsView):
@@ -304,7 +304,7 @@ class Terms(Mapping):
 
     __slots__ = ("_t",)
 
-    def __init__(self, t: dict[int, Fraction]):
+    def __init__(self, t: dict[int, int]):
         self._t = t
 
     def __len__(self) -> int:
@@ -328,7 +328,7 @@ class Terms(Mapping):
         return self._t.values()
 
 
-def _poly(t: dict[int, Fraction], lo: int | None = None, hi: int | None = None) -> "LaurentPoly":
+def _poly(t: dict[int, int], lo: int | None = None, hi: int | None = None) -> "LaurentPoly":
     """A LaurentPoly on a packed term dict with no zero coefficients, and
     its exact per-variable exponent range when known."""
     p = object.__new__(LaurentPoly)
@@ -340,22 +340,22 @@ def _poly(t: dict[int, Fraction], lo: int | None = None, hi: int | None = None) 
 
 
 class LaurentPoly:
-    """Sparse Laurent polynomial with Fraction coefficients on packed monomials.
+    """Sparse Laurent polynomial with int coefficients on packed monomials.
 
     `_lo` and `_hi` cache the exact per-variable minimum and maximum exponent
     as keys.  They are computed on first use and carried exactly through
-    products, quotients and shifts (Q is a domain, so the extreme terms in
+    products, quotients and shifts (Z is a domain, so the extreme terms in
     each variable never cancel), which bounds every new exponent before it
     is formed.
     """
 
     __slots__ = ("_t", "_lo", "_hi", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
-        t: dict[int, Fraction] = {}
+    def __init__(self, terms: Mapping[Mono, int] | None = None):
+        t: dict[int, int] = {}
         for m, c in (terms or {}).items():
             if c != 0:
-                t[_pack(m)] = c
+                t[_pack(m)] = _integer(c)
         if len(t) > _term_limit():
             raise TermLimitExceeded(f"{len(t)} terms")
         self._t = t
@@ -379,7 +379,7 @@ class LaurentPoly:
 
     @staticmethod
     def constant(c) -> "LaurentPoly":
-        c = _intify(Fraction(c))
+        c = _integer(c)
         return _poly({0: c}, 0, 0) if c else _poly({})
 
     @staticmethod
@@ -392,7 +392,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(m: Mono, c=1) -> "LaurentPoly":
-        c = _intify(Fraction(c))
+        c = _integer(c)
         key = _pack(m)
         return _poly({key: c}, key, key) if c else _poly({})
 
@@ -407,13 +407,13 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return not self._t or (len(self._t) == 1 and 0 in self._t)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self._t.get(0, Fraction(0))
+        return self._t.get(0, 0)
 
-    def constant_term(self) -> Fraction:
-        return self._t.get(0, Fraction(0))
+    def constant_term(self) -> int:
+        return self._t.get(0, 0)
 
     def variables(self) -> set[int]:
         """The variables with a nonzero exponent in some term."""
@@ -468,7 +468,7 @@ class LaurentPoly:
         if len(a) > len(b):
             a, b = b, a
         cap = _term_limit()
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         get = out.get
         for k1, c1 in a.items():
             for k2, c2 in b.items():
@@ -486,15 +486,18 @@ class LaurentPoly:
                         del out[k]
         return _poly(out, lo, hi)
 
-    def scale(self, c) -> "LaurentPoly":
-        c = _intify(Fraction(c))
+    def scale(self, c: int) -> "LaurentPoly":
         if not c:
             return _poly({})
         if c == 1:
             return self
-        if isinstance(c, int):
-            return _poly({k: cc * c for k, cc in self._t.items()}, self._lo, self._hi)
-        return _poly({k: _intify(cc * c) for k, cc in self._t.items()}, self._lo, self._hi)
+        return _poly({k: cc * c for k, cc in self._t.items()}, self._lo, self._hi)
+
+    def divide(self, c: int) -> "LaurentPoly":
+        """self / c, for a nonzero int c that divides every coefficient."""
+        if c == 1:
+            return self
+        return _poly({k: cc // c for k, cc in self._t.items()}, self._lo, self._hi)
 
     def _shifted(self, key: int) -> "LaurentPoly":
         """self times the monomial with packed key `key`."""
@@ -536,7 +539,7 @@ class LaurentPoly:
         if shift is None:
             return _poly({})
         one = 1 << shift
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for k, c in self._t.items():
             e = _field(k, shift)
             if e:
@@ -553,9 +556,9 @@ class LaurentPoly:
             return MONO_ONE
         return _unpack(self._range()[0])
 
-    def content(self) -> Fraction:
+    def content(self) -> int:
         """gcd of the coefficients (positive), 0 for the zero polynomial."""
-        return _content(self._t.values())
+        return math.gcd(*self._t.values())
 
     def substitute(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
         """Evaluate with some variables replaced by rational functions."""
@@ -604,15 +607,17 @@ class LaurentPoly:
 def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Return q with q*d == n exactly, or raise DivisionFails.
 
-    Works in the Laurent ring: monomial factors are units, so both operands
-    are shifted to true polynomials and the quotient is shifted back.  Per
-    variable, an exact quotient spans exactly lo(n) - lo(d) .. hi(n) - hi(d),
-    so every quotient term must lie in that box; the first one outside it
-    ends the division.  The remainder is a dict with a lazily-deleted max-heap
-    of its keys (Monagan & Pearce, "Sparse polynomial division using a heap",
-    J. Symb. Comput. 46, 2011), in the packed integer order; the quotient is
-    unique, so the order does not change it.  Its terms come in no
-    particular order.
+    Works in the Laurent ring over the integers: monomial factors are units,
+    so both operands are shifted to true polynomials and the quotient is
+    shifted back.  Per variable, an exact quotient spans exactly
+    lo(n) - lo(d) .. hi(n) - hi(d), so every quotient term must lie in that
+    box; the first one outside it, or the first coefficient that leaves a
+    remainder, ends the division.  By Gauss's lemma this is division over Q
+    whenever d is primitive.  The remainder is a dict with a lazily-deleted
+    max-heap of its keys (Monagan & Pearce, "Sparse polynomial division using
+    a heap", J. Symb. Comput. 46, 2011), in the packed integer order; the
+    quotient is unique, so the order does not change it.  Its terms come in
+    no particular order.
     """
     if not d._t:
         raise ZeroDivisionError("division by zero polynomial")
@@ -635,7 +640,7 @@ def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     high = box + lead + guard  # high - m: guard set where m - lead <= box
     heap = [-k for k in rem]
     heapify(heap)
-    q: dict[int, Fraction] = {}
+    q: dict[int, int] = {}
     while heap:
         m = -heappop(heap)
         c = rem.pop(m, None)
@@ -643,11 +648,10 @@ def exact_div_laurent(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             continue
         if (m + low) & (high - m) & guard != guard:
             raise DivisionFails()
+        qc, r = divmod(c, lc)
+        if r:
+            raise DivisionFails()
         qm = m - lead
-        if isinstance(c, int) and isinstance(lc, int):
-            qc = c // lc if c % lc == 0 else Fraction(c, lc)
-        else:
-            qc = _intify(Fraction(c) / Fraction(lc))
         q[qm + q_lo] = qc
         if len(q) > cap:
             raise TermLimitExceeded(f"{len(q)} terms in a quotient")
@@ -678,19 +682,18 @@ def try_exact_div(n: LaurentPoly, d: LaurentPoly) -> LaurentPoly | None:
 # ---------------------------------------------------------------------------
 
 
-def _lead_sign_unit(p: LaurentPoly) -> Fraction:
-    """The content of p, negated when p's graded-lex leading coefficient
-    (variables compared by id) is negative."""
-    c = p.content()
+def _lead_sign(p: LaurentPoly) -> int:
+    """The sign of p's graded-lex leading coefficient (variables compared by
+    id)."""
     lead = max(p._t, key=_glex_key(*p._range())) if len(p._t) > 1 else next(iter(p._t))
-    return -c if p._t[lead] < 0 else c
+    return -1 if p._t[lead] < 0 else 1
 
 
 def _canonical_unit(p: LaurentPoly) -> LaurentPoly:
-    """Scale so coefficients are coprime integers with positive leading coeff."""
+    """Divide so coefficients are coprime with positive leading coeff."""
     if p.is_zero():
         return p
-    return p.scale(1 / _lead_sign_unit(p))
+    return p.divide(_lead_sign(p) * p.content())
 
 
 def _heu_gcd(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
@@ -799,15 +802,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.one()
     a = _canonical_unit(a)
     b = _canonical_unit(b)
-    # canonical parts have coprime integer coefficients
-    return _canonical_unit(
-        _poly(
-            _heu_gcd(
-                {k: c.numerator for k, c in a._t.items()},
-                {k: c.numerator for k, c in b._t.items()},
-            )
-        )
-    )
+    return _canonical_unit(_poly(_heu_gcd(a._t, b._t)))
 
 
 # ---------------------------------------------------------------------------
@@ -818,11 +813,11 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 class RatFunc:
     """Reduced rational function num/den with LaurentPoly parts.
 
-    Canonical form: den is a primitive true polynomial (coprime integer
-    coefficients, positive leading coefficient, min exponent 0 per variable,
-    no common factor with num); all monomial units live in num.  Hence den is
-    1 exactly when the value is a Laurent polynomial, and equality is
-    structural.
+    Canonical form: den is a true polynomial (min exponent 0 per variable)
+    with positive graded-lex leading coefficient, and num and den share no
+    factor over Z, integer content included; all monomial units live in num.
+    Hence den is constant exactly when the value is a Laurent polynomial, 1
+    when its coefficients are integers, and equality is structural.
     """
 
     __slots__ = ("num", "den")
@@ -847,7 +842,9 @@ class RatFunc:
 
     @staticmethod
     def constant(c) -> "RatFunc":
-        return RatFunc(LaurentPoly.constant(c), LaurentPoly.one(), _reduced=True)
+        c = Fraction(c)
+        num, den = LaurentPoly.constant(c.numerator), LaurentPoly.constant(c.denominator)
+        return RatFunc(num, den, _reduced=True)
 
     @staticmethod
     def variable(v: int, e: int = 1) -> "RatFunc":
@@ -866,12 +863,12 @@ class RatFunc:
         return self.num.is_one() and self.den.is_one()
 
     def is_constant(self) -> bool:
-        return self.num.is_constant() and self.den.is_one()
+        return self.num.is_constant() and self.den.is_constant()
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant")
-        return self.num.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     def variables(self) -> set[int]:
         return self.num.variables() | self.den.variables()
@@ -976,14 +973,11 @@ def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
         if not g.is_one():
             np = exact_div_laurent(np, g)
             dp = exact_div_laurent(dp, g)
-    # scalar normalization: den primitive with positive leading coefficient
-    c = _lead_sign_unit(dp)
-    dp = dp.scale(1 / c)
-    np = np.scale(1 / c)
-    np = np._shifted(_key_div(shift_n, shift_d))
-    if dp.is_one():
-        return np, LaurentPoly.one()
-    return np, dp
+    if not dp.is_one():
+        # integer content: none shared, den's leading coefficient positive
+        c = _lead_sign(dp) * math.gcd(np.content(), dp.content())
+        np, dp = np.divide(c), dp.divide(c)
+    return np._shifted(_key_div(shift_n, shift_d)), dp
 
 
 # ---------------------------------------------------------------------------
@@ -1044,14 +1038,14 @@ def var_name(v: int) -> str:
     return f"{kind}{i}"
 
 
-def format_poly(p: LaurentPoly, name=var_name) -> str:
+def format_poly(p: LaurentPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
     for m in sorted(p.terms, key=lambda mm: (sum(e for _, e in mm), mm)):
         c = p.terms[m]
         factors = [
-            name(v) + (f"^{e}" if e != 1 else "") for v, e in m
+            var_name(v) + (f"^{e}" if e != 1 else "") for v, e in m
         ]
         body = "*".join(factors)
         if not body:
@@ -1064,10 +1058,3 @@ def format_poly(p: LaurentPoly, name=var_name) -> str:
             parts.append(f"{format_fraction(c)}*{body}")
     out = " + ".join(parts).replace("+ -", "- ")
     return out
-
-
-def format_ratfunc(f: RatFunc, name=var_name) -> str:
-    if f.den.is_one():
-        return format_poly(f.num, name)
-    return f"({format_poly(f.num, name)})/({format_poly(f.den, name)})"
-

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .algebra import RatFunc, SemifieldTag, yvar
+from .algebra import RatFunc, SemifieldTag
 from .factored import Factored
 from .matrices import (
     ExchangeMatrix,
@@ -31,8 +31,8 @@ from .matrices import (
 from .poisson import (
     ExtendedPoisson,
     PoissonMatrix,
+    bracket_from_pairs,
     is_log_canonical,
-    symbolic_bracket,
 )
 from .seeds import Seed, mutate_many, mutate_seed, one_plus
 
@@ -525,14 +525,27 @@ def liouville_report(state: LiouvilleState) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _bracket_coefficient(pairs, f: RatFunc, g: RatFunc) -> Fraction:
-    from .poisson import bracket_from_pairs
-
-    value = bracket_from_pairs(pairs, f, g)
-    coeff = is_log_canonical(f, g, value)
-    if coeff is None:
-        raise ValueError("bracket is not log-canonical in the given pair")
-    return coeff
+def _bracket_table(
+    pairs: Mapping[tuple[int, int], Fraction],
+    layer0: Mapping[int, RatFunc],
+    layer1: Mapping[int, RatFunc],
+) -> dict[tuple[int, int], Fraction]:
+    """(a, b) -> r with {layer0[a], layer1[b]} = r layer0[a] layer1[b], having
+    verified that brackets within each layer vanish."""
+    table: dict[tuple[int, int], Fraction] = {}
+    for a, f in layer0.items():
+        for b, g in layer1.items():
+            coeff = is_log_canonical(f, g, bracket_from_pairs(pairs, f, g))
+            if coeff is None:
+                raise ValueError("bracket is not log-canonical in the given pair")
+            table[(a, b)] = coeff
+    for layer in (layer0, layer1):
+        keys = sorted(layer)
+        for a in range(len(keys)):
+            for b in range(a + 1, len(keys)):
+                if not bracket_from_pairs(pairs, layer[keys[a]], layer[keys[b]]).is_zero():
+                    raise ValueError(f"same-layer bracket nonzero at {keys[a]}, {keys[b]}")
+    return table
 
 
 def lv_initial_brackets(
@@ -553,7 +566,6 @@ def lv_initial_brackets(
     if Px is None:
         Px = PoissonMatrix(W.indices, {}, c=Fraction(0))
     ext = ExtendedPoisson(Px=Px, B=W, c_x=Fraction(0), c_y=Fraction(c_y))
-    pairs = ext.flat_pairs()
     state = lv_run(3, lo, hi)
     def _yhat_safe(u: int, i: int) -> bool:
         sites = ((u + 1, i - 2), (u + 2, i + 2), (u + 2, i - 1), (u + 1, i + 1))
@@ -562,24 +574,10 @@ def lv_initial_brackets(
             and state.margin(i) >= 3 * u + 2
         )
 
-    safe0 = [b for b in range(lo_block, hi_block + 1) if _yhat_safe(0, 3 * b)]
-    safe1 = [b for b in range(lo_block, hi_block + 1) if _yhat_safe(1, 3 * b + 1)]
-    yh0 = {b: state.y_hat(0, 3 * b).expand() for b in safe0}
-    yh1 = {b: state.y_hat(1, 3 * b + 1).expand() for b in safe1}
-    table: dict[tuple[int, int], Fraction] = {}
-    for i in safe0:
-        for j in safe1:
-            table[(i, j)] = _bracket_coefficient(pairs, yh0[i], yh1[j])
-    for vals in (yh0, yh1):
-        keys = sorted(vals)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                same = symbolic_bracket(vals[keys[a]], vals[keys[b]], ext)
-                if not same.is_zero():
-                    raise ValueError(
-                        f"same-layer bracket nonzero at blocks {keys[a]}, {keys[b]}"
-                    )
-    return table
+    blocks = range(lo_block, hi_block + 1)
+    yh0 = {b: state.y_hat(0, 3 * b).expand() for b in blocks if _yhat_safe(0, 3 * b)}
+    yh1 = {b: state.y_hat(1, 3 * b + 1).expand() for b in blocks if _yhat_safe(1, 3 * b + 1)}
+    return _bracket_table(ext.flat_pairs(), yh0, yh1)
 
 
 def liouville_initial_brackets(N: int, c_y: Fraction) -> dict[tuple[int, int], Fraction]:
@@ -587,40 +585,21 @@ def liouville_initial_brackets(N: int, c_y: Fraction) -> dict[tuple[int, int], F
 
     Even N: returns (k, j) -> r with {y_{2k}(0), y_{2j+1}(1)} = r * product.
     Odd N: returns (i, j) -> r with {chi_{i,0}, chi_{j,1}} = r * product.
-    Same-layer brackets are verified to vanish.
+    Same-layer brackets are verified to vanish.  The values hold only y
+    variables, so the x-part of the extended structure (zero here) and its
+    x-y pairs never enter.
     """
-    c_y = Fraction(c_y)
     state = liouville_run(N, 1)
     B = state.seeds[0].matrix
-    d = B.symmetrizer()
-    pairs: dict[tuple[int, int], Fraction] = {}
-    for (i, j), bij in B.data.items():
-        if i < j and bij:
-            v = c_y * d[i] * bij
-            if v:
-                pairs[(yvar(i), yvar(j))] = v
+    Px = PoissonMatrix(B.indices, {}, c=Fraction(0))
+    ext = ExtendedPoisson(Px=Px, B=B, c_x=Fraction(0), c_y=Fraction(c_y))
     if N % 2 == 0:
         layer0 = {k: state.chi(2 * k, 0).expand() for k in range(N // 2)}
         layer1 = {j: state.chi(2 * j + 1, 1).expand() for j in range(N // 2)}
     else:
         layer0 = {i: state.chi(i, 0).expand() for i in range(N)}
         layer1 = {j: state.chi(j, 1).expand() for j in range(N)}
-    table = {
-        (a, b): _bracket_coefficient(pairs, f, g)
-        for a, f in layer0.items()
-        for b, g in layer1.items()
-    }
-    from .poisson import bracket_from_pairs
-
-    for layer in (layer0, layer1):
-        keys = sorted(layer)
-        for a in range(len(keys)):
-            for b in range(a + 1, len(keys)):
-                if not bracket_from_pairs(pairs, layer[keys[a]], layer[keys[b]]).is_zero():
-                    raise ValueError(
-                        f"same-layer bracket nonzero at {keys[a]}, {keys[b]}"
-                    )
-    return table
+    return _bracket_table(ext.flat_pairs(), layer0, layer1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,22 @@ value is kept as
 
     coeff * (monomial in the flat variables) * prod_k base_k ^ e_k
 
-with canonical polynomial bases (per-variable minimum exponent zero, content
-one, deterministic sign) and integer exponents of either sign.  Products,
-quotients, and powers are exponent bookkeeping.  Addition extracts the common
-factor, expands the two small cofactors, and registers the resulting sum as a
-new base; the Laurent-phenomenon cancellations are recovered by exact
-division of the new base against the denominator bases, so no polynomial gcd
-is ever needed.  Equality and zero tests go through subtraction, which is
-exact by the same route.
+with canonical polynomial bases (integer coefficients, per-variable minimum
+exponent zero, content one, deterministic sign) and integer exponents of
+either sign.  coeff is the only rational number; `expand()` puts its
+numerator in num and its denominator in den.  Products, quotients, and
+powers are exponent bookkeeping.  Addition extracts the common factor,
+expands the two small cofactors over the lcm of the coefficients'
+denominators, and registers the resulting sum as a new base; the
+Laurent-phenomenon cancellations are recovered by exact division of the new
+base against the denominator bases, so no polynomial gcd is ever needed.
+Every base is primitive, so that division stays in the integers.  Equality
+and zero tests go through subtraction, which is exact by the same route.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -29,7 +33,6 @@ from .algebra import (
     LaurentPoly,
     Mono,
     RatFunc,
-    _intify,
     _key_div,
     _key_min,
     _key_mul,
@@ -42,7 +45,7 @@ from .algebra import (
 )
 
 
-def _split(p: LaurentPoly) -> tuple[Fraction, int, LaurentPoly | None]:
+def _split(p: LaurentPoly) -> tuple[int, int, LaurentPoly | None]:
     """Write a nonzero Laurent polynomial as coeff * monomial * base with the
     base canonical (min exponents zero, content one, reference coefficient
     positive), or base None when p is a monomial.  The monomial is a packed
@@ -52,15 +55,14 @@ def _split(p: LaurentPoly) -> tuple[Fraction, int, LaurentPoly | None]:
     c = q.content()
     if q._t[_tuple_first(q._t)] < 0:
         c = -c
-    if c != 1:
-        q = q.scale(Fraction(1) / c)
+    q = q.divide(c)
     if q.is_one():
         return c, shift, None
     return c, shift, q
 
 
-def _expand(coeff: Fraction, key: int, pows: Mapping[LaurentPoly, int]) -> LaurentPoly:
-    out = _poly({key: _intify(Fraction(coeff))}, key, key)
+def _expand(coeff: int, key: int, pows: Mapping[LaurentPoly, int]) -> LaurentPoly:
+    out = _poly({key: coeff}, key, key)
     for p, e in pows.items():
         if e:
             out = out * p**e
@@ -80,7 +82,7 @@ class Factored:
         key: int = 0,
         powers: Mapping[LaurentPoly, int] | None = None,
     ):
-        self.coeff = Fraction(coeff)
+        self.coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
         if self.coeff == 0:
             self.key = 0
             self.powers: dict[LaurentPoly, int] = {}
@@ -193,13 +195,16 @@ class Factored:
             e = min(self.powers.get(p, 0), other.powers.get(p, 0))
             if e:
                 cpow[p] = e
+        # both cofactors over the lcm of the coefficients' denominators
+        da, db = self.coeff.denominator, other.coeff.denominator
+        den = math.lcm(da, db)
         pa = _expand(
-            self.coeff,
+            self.coeff.numerator * (den // da),
             _key_div(self.key, cm),
             {p: self.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
         )
         pb = _expand(
-            other.coeff,
+            other.coeff.numerator * (den // db),
             _key_div(other.key, cm),
             {p: other.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
         )
@@ -246,7 +251,7 @@ class Factored:
                 if powers[base] == 0:
                     del powers[base]
                 base = None
-        return Factored(c, m, powers)
+        return Factored(Fraction(c, den), m, powers)
 
     def __sub__(self, other: "Factored") -> "Factored":
         return self + (-other)
@@ -274,11 +279,9 @@ class Factored:
             return RatFunc.zero()
         num_pows = {p: e for p, e in self.powers.items() if e > 0}
         den_pows = {p: -e for p, e in self.powers.items() if e < 0}
-        m = self.mono
-        mnum = _pack(tuple((v, e) for v, e in m if e > 0))
-        mden = _pack(tuple((v, -e) for v, e in m if e < 0))
-        num = _expand(self.coeff, mnum, num_pows)
-        den = _expand(Fraction(1), mden, den_pows)
+        neg = _key_min(self.key, 0)
+        num = _expand(self.coeff.numerator, _key_div(self.key, neg), num_pows)
+        den = _expand(self.coeff.denominator, _key_div(0, neg), den_pows)
         return RatFunc(num, den)
 
     def __repr__(self):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterflow import algebra
+from clusterflow.factored import Factored
 from clusterflow.algebra import (
     DivisionFails,
     LaurentPoly,
@@ -27,7 +28,7 @@ def x(i, e=1):
 
 
 def c(v):
-    return LaurentPoly.constant(Fraction(v))
+    return LaurentPoly.constant(v)
 
 
 small_poly = st.lists(
@@ -104,11 +105,17 @@ class TestLaurentPoly:
         assert try_exact_div(d, g) is not None
 
     def test_gcd_handles_fractional_coefficients(self):
+        # coefficients are integers; operands with different contents still
+        # meet in g, and rational scalars stay in the RatFunc around them
         g = x(0) + x(1)
-        a = g.scale(Fraction(3, 7)) * (x(0) + c(Fraction(1, 2)))
-        b = g.scale(Fraction(-2, 5)) * (x(1) + c(2))
+        a = g.scale(6) * (x(0).scale(2) + c(1))
+        b = g.scale(-10) * (x(1) + c(2))
         d = poly_gcd(a, b)
         assert try_exact_div(d, g) is not None
+        r = (RatFunc.constant(Fraction(3, 7)) * RatFunc.from_poly(g * (x(0) + c(1)))) / (
+            RatFunc.constant(Fraction(-2, 5)) * RatFunc.from_poly(g * (x(1) + c(2)))
+        )
+        assert (r.num, r.den) == ((x(0) + c(1)).scale(-15), (x(1) + c(2)).scale(14))
 
 
 class TestRatFunc:
@@ -187,19 +194,44 @@ def test_term_limit_read_once_per_product(monkeypatch):
 
 
 def test_content_of_mixed_integer_and_fraction_coefficients():
-    # the gcd of 1 and 1/2 is 1/2, whatever the term order
-    assert (c(1) + x(0).scale(Fraction(1, 2))).content() == Fraction(1, 2)
-    assert (x(0).scale(Fraction(1, 2)) + c(1)).content() == Fraction(1, 2)
+    # a polynomial's content is the gcd of its int coefficients, whatever
+    # the term order; the content 1/2 of 1 + x/2 lives in Factored.coeff
+    assert (c(2) + x(0).scale(4)).content() == 2
+    assert (x(0).scale(4) + c(2)).content() == 2
+    one, half, v = Factored.one(), Factored.constant(Fraction(1, 2)), Factored.variable(0)
+    for s in (one + half * v, half * v + one):
+        assert s.coeff == Fraction(1, 2)
+        assert s.powers == {c(2) + x(0): 1}
+        assert (s.expand().num, s.expand().den) == (c(2) + x(0), c(2))
 
 
 def test_ratfunc_canonical_form_is_unique():
     # 1/(1 + y/2) and 2/(2 + y) must be the same structure, since equality
     # and hashing are structural
-    a = RatFunc.one() / RatFunc.from_poly(c(1) + x(1).scale(Fraction(1, 2)))
+    y_half = RatFunc.constant(Fraction(1, 2)) * RatFunc.variable(1)
+    a = RatFunc.one() / (RatFunc.one() + y_half)
     b = RatFunc.constant(2) / RatFunc.from_poly(x(1) + c(2))
     assert (a.num, a.den) == (b.num, b.den)
     assert a.den == x(1) + c(2)
     assert hash(a) == hash(b)
+
+
+def test_coefficients_are_integers():
+    for bad in (Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError):
+            LaurentPoly({mono({0: 1}): bad})
+        with pytest.raises(ValueError):
+            LaurentPoly.constant(bad)
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(mono({0: 1}), bad)
+    three = Fraction(3)
+    assert LaurentPoly({mono({0: 1}): three}) == x(0).scale(3)
+    assert LaurentPoly.constant(three) == c(3)
+    assert LaurentPoly.monomial(mono({0: 1}), three) == x(0).scale(3)
+    assert all(type(v) is int for v in (c(three) + x(0).scale(3)).terms.values())
+    half = RatFunc.constant(Fraction(1, 2))
+    assert (half.num, half.den) == (c(1), c(2))
+    assert half.is_constant() and half.constant_value() == Fraction(1, 2)
 
 
 def test_exponent_overflow_is_an_error():

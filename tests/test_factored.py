@@ -1,5 +1,6 @@
 """Factored values: the trial divisions of a sum do not depend on labels,
-and a divisor that failed is not tried again."""
+a divisor that failed is not tried again, and bases hold int coefficients
+even when the values are rational."""
 
 from clusterflow import factored
 from clusterflow.algebra import xvar
@@ -55,3 +56,17 @@ def test_failed_divisor_is_not_tried_again(monkeypatch):
     assert [ok for _, ok in calls][:2] == [False, True]
     failed = [d for d, ok in calls if not ok]
     assert len(failed) == len(set(failed))
+
+
+def test_bases_of_a_constant_coefficient_run_hold_ints():
+    # the y values are the constants delta, 1 and 1/delta, so Fraction
+    # coefficients enter every sum; the bases must still hold plain ints
+    state = lv_run(5, -45, 47, delta=1)
+    bases = {
+        id(p): p
+        for seed in state.seeds
+        for v in (*seed.x.values(), *seed.y.values())
+        for p in v.powers
+    }
+    assert bases
+    assert all(type(c) is int for p in bases.values() for c in p.terms.values())

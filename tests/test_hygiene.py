@@ -1,21 +1,19 @@
 """Every function, class and method of the package has a caller or a test.
 
-A name counts as used when it appears in a Python file under src/, tests/,
-demos/ or benchmarks/ anywhere other than its own `def` or `class` line.
-Dunder methods are called by the language and are left out.
+A name counts as used when it appears as a NAME token (so not inside a
+string or a comment) in a Python file under src/, tests/, demos/ or
+benchmarks/ anywhere other than its own `def` or `class` line.  Dunder
+methods are called by the language and are left out.
 """
 
 import ast
-import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "clusterflow"
 SEARCHED = ("src", "tests", "demos", "benchmarks")
-
-IDENT = re.compile(r"[A-Za-z_]\w*")
-DEFINITION = re.compile(r"\b(?:def|class)\s+([A-Za-z_]\w*)")
 
 
 def _defined_names() -> set[str]:
@@ -33,8 +31,13 @@ def test_every_definition_is_named_elsewhere():
     definitions: Counter = Counter()
     for top in SEARCHED:
         for path in (ROOT / top).rglob("*.py"):
-            text = path.read_text()
-            mentions.update(IDENT.findall(text))
-            definitions.update(DEFINITION.findall(text))
+            with path.open("rb") as f:
+                previous = None
+                for tok in tokenize.tokenize(f.readline):
+                    if tok.type == tokenize.NAME:
+                        mentions[tok.string] += 1
+                        if previous in ("def", "class"):
+                            definitions[tok.string] += 1
+                    previous = tok.string
     unused = sorted(n for n in _defined_names() if mentions[n] <= definitions[n])
     assert not unused, f"defined but never named elsewhere: {unused}"

@@ -1,10 +1,12 @@
 """Differential tests of the exact kernel against sympy.
 
-Laurent polynomials over negative and positive variable ids are multiplied,
-divided, reduced and gcd'ed by clusterflow and by sympy, and the answers are
-compared as rational functions.  The canonical-form conventions clusterflow
-adds on top (primitive denominators with a positive graded-lex leading
-coefficient) are checked directly.  sympy is a test-only dependency.
+Laurent polynomials with integer coefficients over negative and positive
+variable ids are multiplied, divided, reduced and gcd'ed by clusterflow and
+by sympy, and the answers are compared as rational functions.  Rational
+scalars enter through `RatFunc.constant`.  The canonical-form conventions
+clusterflow adds on top (num and den without a common factor over Z, integer
+content included, and a positive graded-lex leading coefficient of den) are
+checked directly.  sympy is a test-only dependency.
 """
 
 from fractions import Fraction
@@ -31,12 +33,8 @@ GENS = [SYMBOLS[v] for v in sorted(VARS)]
 
 
 def _poly(min_exp: int, max_exp: int, max_terms: int = 5):
-    coeff = st.one_of(
-        st.integers(-6, 6),
-        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-    )
     term = st.tuples(
-        coeff,
+        st.integers(-6, 6),
         st.dictionaries(st.sampled_from(VARS), st.integers(min_exp, max_exp), max_size=3),
     )
     return st.lists(term, max_size=max_terms).map(
@@ -48,23 +46,41 @@ def _poly(min_exp: int, max_exp: int, max_terms: int = 5):
 
 laurent = _poly(-2, 3)
 polynomial = _poly(0, 3)
+scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 
 
 def to_sympy(p: LaurentPoly):
     total = sympy.Integer(0)
     for m, c in p.terms.items():
-        term = sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        term = sympy.Integer(c)
         for v, e in m:
             term *= SYMBOLS[v] ** e
         total += term
     return total
 
 
+def _parts(expr):
+    """Numerator and denominator Polys of a rational expression, cancelled.
+    The numerator's coefficients may be rational: sympy leaves (1 + y)/2 as
+    one sum."""
+    num, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
+    return sympy.Poly(num, *GENS), sympy.Poly(den, *GENS)
+
+
 def is_laurent(expr) -> bool:
-    """Whether a rational expression is a Laurent polynomial (a polynomial
-    over a monomial denominator)."""
-    _, den = sympy.fraction(sympy.cancel(sympy.together(expr)))
-    return len(sympy.Poly(den, *GENS).terms()) == 1
+    """Whether a rational expression is a Laurent polynomial over Q (a
+    polynomial over a monomial denominator)."""
+    return len(_parts(expr)[1].terms()) == 1
+
+
+def is_integer_laurent(expr) -> bool:
+    """Whether a rational expression is a Laurent polynomial with integer
+    coefficients."""
+    num, den = _parts(expr)
+    if len(den.terms()) != 1:
+        return False
+    lc = den.coeffs()[0]
+    return all((c / lc).is_integer for c in num.coeffs())
 
 
 def same(a, b) -> bool:
@@ -89,10 +105,12 @@ def test_exact_div_of_product_matches_sympy(p, q):
 @given(laurent, laurent)
 @settings(max_examples=60, deadline=None)
 def test_exact_div_succeeds_iff_sympy_divides(n, d):
+    # division is in the integers: it succeeds exactly when the quotient is
+    # a Laurent polynomial with integer coefficients
     if d.is_zero():
         return
     ratio = to_sympy(n) / to_sympy(d)
-    if is_laurent(ratio):
+    if is_integer_laurent(ratio):
         got = exact_div_laurent(n, d)
         assert same(to_sympy(got), ratio)
     else:
@@ -117,38 +135,41 @@ def test_poly_gcd_matches_sympy(a, b, g):
     # equal up to a nonzero scalar, and canonically normalized
     ratio = sympy.cancel(to_sympy(got) / want)
     assert ratio.is_number and ratio != 0
-    assert all(Fraction(c).denominator == 1 for c in got.terms.values())
+    assert all(type(c) is int for c in got.terms.values())
     assert got.content() == 1
     assert _grlex_lc(got) > 0
 
 
-def check_canonical_form(r: RatFunc, p: LaurentPoly, q: LaurentPoly) -> None:
-    """r is p/q in canonical form: the same rational function, den a
-    primitive true polynomial with min exponent 0 in every variable and a
-    positive graded-lex leading coefficient, coprime to num, and 1 exactly
-    when the value is a Laurent polynomial."""
+def check_canonical_form(r: RatFunc, value) -> None:
+    """r is the sympy expression value in canonical form: the same rational
+    function, with integer coefficients, den a true polynomial with min
+    exponent 0 in every variable and a positive graded-lex leading
+    coefficient, num and den without a common factor over Z (integer
+    content included), and den constant exactly when the value is a Laurent
+    polynomial, 1 exactly when that polynomial has integer coefficients."""
     num, den = r.num, r.den
-    assert same(to_sympy(num) / to_sympy(den), to_sympy(p) / to_sympy(q))
+    assert same(to_sympy(num) / to_sympy(den), value)
     if num.is_zero():
         assert den.is_one()
         return
+    assert all(type(c) is int for c in (*num.terms.values(), *den.terms.values()))
     assert den.is_polynomial()
     assert all(e == 0 for _, e in den.min_exponents())
-    assert all(Fraction(c).denominator == 1 for c in den.terms.values())
-    assert den.content() == 1
     assert _grlex_lc(den) > 0
     shift = {v: -e for v, e in num.min_exponents()}
     num_poly = to_sympy(num * LaurentPoly.monomial(mono(shift)))
-    assert sympy.gcd(num_poly, to_sympy(den)).is_number
-    assert den.is_one() == is_laurent(to_sympy(p) / to_sympy(q))
+    assert sympy.gcd(num_poly, to_sympy(den)) == 1
+    assert den.is_constant() == is_laurent(value)
+    assert den.is_one() == is_integer_laurent(value)
 
 
-@given(laurent, laurent)
+@given(laurent, laurent, scalar)
 @settings(max_examples=50, deadline=None)
-def test_ratfunc_canonical_form_matches_sympy(p, q):
+def test_ratfunc_canonical_form_matches_sympy(p, q, s):
     if q.is_zero():
         return
-    check_canonical_form(RatFunc.from_poly(p) / RatFunc.from_poly(q), p, q)
+    r = RatFunc.constant(s) * RatFunc.from_poly(p) / RatFunc.from_poly(q)
+    check_canonical_form(r, sympy.Rational(s) * to_sympy(p) / to_sympy(q))
 
 
 monomial = st.tuples(
@@ -157,14 +178,18 @@ monomial = st.tuples(
 ).map(lambda cm: LaurentPoly.monomial(mono(cm[1]), cm[0]))
 
 
-@given(laurent, laurent, monomial)
+@given(laurent, laurent, monomial, scalar)
 @settings(max_examples=50, deadline=None)
-def test_ratfunc_of_divisible_pair_matches_sympy(den, q, m):
-    # den divides num in the Laurent ring, so the reduction ends in den = 1
+def test_ratfunc_of_divisible_pair_matches_sympy(den, q, m, s):
+    # den divides num in the Laurent ring, so the reduction ends in den = 1,
+    # and a rational scalar leaves a constant den
     if den.is_zero():
         return
     num = den * q * m
     r = RatFunc(num, den)
-    check_canonical_form(r, num, den)
+    check_canonical_form(r, to_sympy(num) / to_sympy(den))
     assert r.den.is_one()
     assert same(to_sympy(r.num), to_sympy(q * m))
+    scaled = RatFunc.constant(s) * r
+    check_canonical_form(scaled, sympy.Rational(s) * to_sympy(q * m))
+    assert scaled.den.is_constant()
