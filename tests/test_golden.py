@@ -1,6 +1,7 @@
 """Golden digests of every seed value of three depth-5 Lotka-Volterra runs,
-of the C-matrices of one mutation walk, and of the `clusterflow mutate` JSON
-of five seeds.
+of the C-matrices of one mutation walk, of the `clusterflow mutate` JSON
+of five seeds, and of the `clusterflow verify` JSON of the four randomized
+suites at rng seed 0.
 
 The digests pin the exact factored forms: for every layer, every x and y
 value's coefficient, monomial, and each base's sorted terms with its
@@ -126,4 +127,20 @@ def test_cli_mutate_digest(tmp_path, args, digest):
     # the JSON boundary: canonical x forms, the tropical y repr, the trivial "1"
     out = tmp_path / "seed.json"
     assert cli.main(["mutate", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("seeds", "bd5d1a5fbd35724f076d84da23483053e1acb40dfe0dded947a4be7a4e311442"),
+        ("poisson", "e83c9af338164fac622b20d1b4b450407c8b4a09675cb84c1d34f6fb2472a70b"),
+        ("families", "3d1a306be8c98140d207054c7a00a7a2848bed16b7328b1741113a98c9f22521"),
+        ("tropical", "fde43a87881284ea4d607ee6194f34eb2c32a86e510bcfe7262e1636307fad39"),
+    ],
+)
+def test_cli_verify_digest(tmp_path, suite, digest):
+    # the suites' random draws, their order and every record they emit
+    out = tmp_path / "records.json"
+    assert cli.main(["verify", suite, "--rng-seed", "0", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
