@@ -109,9 +109,7 @@ class LVState:
         """Dressed coefficient at a forward point (u = i mod 3)."""
         if (u - i) % 3 != 0:
             raise ValueError(f"({u},{i}) is not a forward mutation point")
-        num = self.x(u + 1, i - 2) * self.x(u + 2, i + 2)
-        den = self.x(u + 2, i - 1) * self.x(u + 1, i + 1)
-        return self.y(u, i) * num / den
+        return self.y(u, i) * self.f_value(u, i)
 
     def f_value(self, u: int, i: int) -> Factored:
         """The cluster-monomial factor of the dressed coefficient."""
@@ -480,12 +478,10 @@ def liouville_run(N: int, steps: int) -> LiouvilleState:
         )
     if N % 2 == 0:
         B = liouville_even_matrix(N // 2)
-        plus = [i for i in B.indices if i % 2 == 0]
-        minus = [i for i in B.indices if i % 2 == 1]
     else:
         B = liouville_odd_matrix((N - 1) // 2)
-        plus = [i for i in B.indices if i % 2 == 0]
-        minus = [i for i in B.indices if i % 2 == 1]
+    plus = [i for i in B.indices if i % 2 == 0]
+    minus = [i for i in B.indices if i % 2 == 1]
     seed = Seed.initial(B)
     seeds = [seed]
     for u in range(steps):
@@ -549,35 +545,34 @@ def _bracket_table(
 
 
 def lv_initial_brackets(
-    c_y: Fraction, lo_block: int, hi_block: int, Px: PoissonMatrix | None = None
+    c_y: Fraction, lo_block: int, hi_block: int
 ) -> dict[tuple[int, int], Fraction]:
     """Bracket coefficients of the Lotka-Volterra initial data
     {yh_{3i}(0), yh_{3j+1}(1)} on block indices lo_block..hi_block.
 
     Returns r with {yh_{3i}(0), yh_{3j+1}(1)} = r yh_{3i}(0) yh_{3j+1}(1) for
     safe block pairs, having verified that same-layer brackets vanish.  The
-    result is independent of the x-part of the structure; Px defaults to zero
+    result is independent of the x-part of the structure, which is zero here
     (a valid PB = O solution).  The run window is padded so every reported
     block sits inside the safe margin of the depth-3 run.
     """
     pad = 4
     lo, hi = 3 * (lo_block - pad), 3 * (hi_block + pad) + 2
     W = lv_matrix().window(lo, hi)
-    if Px is None:
-        Px = PoissonMatrix(W.indices, {}, c=Fraction(0))
-    ext = ExtendedPoisson(Px=Px, B=W, c_x=Fraction(0), c_y=Fraction(c_y))
+    Px = PoissonMatrix(W.indices, {}, c=Fraction(0))
+    ext = ExtendedPoisson(Px=Px, B=W, c_y=Fraction(c_y))
     state = lv_run(3, lo, hi)
-    def _yhat_safe(u: int, i: int) -> bool:
-        sites = ((u + 1, i - 2), (u + 2, i + 2), (u + 2, i - 1), (u + 1, i + 1))
-        return (
-            all(state.is_safe(*s) for s in sites)
-            and state.margin(i) >= 3 * u + 2
-        )
 
-    blocks = range(lo_block, hi_block + 1)
-    yh0 = {b: state.y_hat(0, 3 * b).expand() for b in blocks if _yhat_safe(0, 3 * b)}
-    yh1 = {b: state.y_hat(1, 3 * b + 1).expand() for b in blocks if _yhat_safe(1, 3 * b + 1)}
-    return _bracket_table(ext.flat_pairs(), yh0, yh1)
+    def layer(u: int) -> dict[int, RatFunc]:
+        out = {}
+        for b in range(lo_block, hi_block + 1):
+            try:
+                out[b] = state.y_hat(u, 3 * b + u).expand()
+            except MarginExhausted:
+                pass  # outside the trusted cone of the depth-3 run
+        return out
+
+    return _bracket_table(ext.flat_pairs(), layer(0), layer(1))
 
 
 def liouville_initial_brackets(N: int, c_y: Fraction) -> dict[tuple[int, int], Fraction]:
@@ -592,7 +587,7 @@ def liouville_initial_brackets(N: int, c_y: Fraction) -> dict[tuple[int, int], F
     state = liouville_run(N, 1)
     B = state.seeds[0].matrix
     Px = PoissonMatrix(B.indices, {}, c=Fraction(0))
-    ext = ExtendedPoisson(Px=Px, B=B, c_x=Fraction(0), c_y=Fraction(c_y))
+    ext = ExtendedPoisson(Px=Px, B=B, c_y=Fraction(c_y))
     if N % 2 == 0:
         layer0 = {k: state.chi(2 * k, 0).expand() for k in range(N // 2)}
         layer1 = {j: state.chi(2 * j + 1, 1).expand() for j in range(N // 2)}

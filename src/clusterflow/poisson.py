@@ -470,15 +470,16 @@ def lv_periodic_basis(m: int) -> list[PeriodicLVParams]:
 
 
 def check_pb_zero_window(
-    P: PoissonMatrix, B: ExchangeMatrix, band: int = 3
+    P: PoissonMatrix, B: ExchangeMatrix
 ) -> tuple[bool, tuple[int, int] | None]:
-    """(PB)_{ij} = 0 at all safe entries (columns >= band from window edges)."""
+    """(PB)_{ij} = 0 at all safe entries: columns at least 3 (the band
+    width of the LV quiver) from the window edges."""
     prod = pb_product(P, B)
     idx = P.indices
     lo, hi = idx[0], idx[-1]
     for a, i in enumerate(idx):
         for b, j in enumerate(idx):
-            if min(j - lo, hi - j) < band:
+            if min(j - lo, hi - j) < 3:
                 continue
             if prod[a][b] != 0:
                 return False, (i, j)
@@ -514,7 +515,6 @@ class ExtendedPoisson:
 
     Px: PoissonMatrix
     B: ExchangeMatrix
-    c_x: Fraction
     c_y: Fraction
 
     @property
@@ -570,7 +570,7 @@ def assemble_extended(
         got = compatibility_constant(Px, B)
         if got != c_x:
             raise ValueError(f"Px B = {got} D but c_x = {c_x}")
-    return ExtendedPoisson(Px=Px, B=B, c_x=c_x, c_y=Fraction(c_y))
+    return ExtendedPoisson(Px=Px, B=B, c_y=Fraction(c_y))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
 """Named verification suites.
 
-Each suite runs a batch of exact identity checks and returns JSON-ready
-records {suite, check, ok, witness}; a record's witness carries enough data
-to reproduce a failure.  The suites are pure and deterministic for a fixed
-rng_seed.
+Each suite runs a fixed batch of exact identity checks and returns
+JSON-ready records {suite, check, ok, witness}.  A randomized check records
+its first failure, whose witness carries enough data to reproduce it.  The
+suites are pure and deterministic for a fixed rng_seed.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable
+from itertools import combinations, product
+from math import log
+from typing import Callable, Iterator
 
 from .algebra import SemifieldTag
 from .linalg import is_zero_matrix, mat_mul, rank
-from .matrices import ExchangeMatrix, a2_matrix, lv_periodic_matrix, somos4_matrix
+from .matrices import ExchangeMatrix, a2_matrix, lv_matrix, lv_periodic_matrix, somos4_matrix
 from .poisson import (
     CompatibilityError,
     PeriodicLVParams,
@@ -54,13 +56,20 @@ def _record(suite: str, check: str, ok: bool, witness=None) -> dict:
     return rec
 
 
-def random_skew_matrix(
-    rng: random.Random, n: int, max_entry: int = 2
-) -> ExchangeMatrix:
+def _first_failure(suite: str, check: str, failures: Iterator[dict]) -> dict:
+    """The record of a check whose cases yield failure witnesses: ok when
+    there is none, else the first one.  The generator is not resumed, so a
+    check's random draws stop at its first failure."""
+    witness = next(failures, None)
+    return _record(suite, check, witness is None, witness)
+
+
+def random_skew_matrix(rng: random.Random, n: int) -> ExchangeMatrix:
+    """A random n x n skew-symmetric matrix with entries in -2..2."""
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = rng.randint(-max_entry, max_entry)
+            v = rng.randint(-2, 2)
             rows[i][j] = v
             rows[j][i] = -v
     return ExchangeMatrix.from_dense(rows)
@@ -94,76 +103,58 @@ def bounded_word(
 # Seed engine: involutivity and the Laurent property
 # ---------------------------------------------------------------------------
 
-
-def _size_log(v) -> float:
-    """log of an upper bound on the expanded term count of a factored value."""
-    from math import log
-
-    return sum(abs(e) * log(len(p.terms)) for p, e in v.powers.items())
+# A trial stops mutating once a value could expand to more than about
+# exp(9.5) = 13k terms, because comparing and expanding such values is slow;
+# every step performed up to then is still checked.
+SIZE_BUDGET = 9.5
 
 
-def seed_suite(
-    rng_seed: int = 0,
-    n_matrices: int = 50,
-    max_rank: int = 6,
-    max_depth: int = 8,
-    laurent_rank: int = 4,
-    laurent_depth: int = 6,
-) -> list[dict]:
+def _too_large(values) -> bool:
+    """Whether the log of an upper bound on the expanded term count of some
+    factored value passes SIZE_BUDGET."""
+    return any(
+        sum(abs(e) * log(len(p.terms)) for p, e in v.powers.items()) > SIZE_BUDGET
+        for v in values
+    )
+
+
+def seed_suite(rng_seed: int = 0) -> list[dict]:
     rng = random.Random(rng_seed)
-    records = []
-    inv_ok = True
-    witness = None
-    for trial in range(n_matrices):
-        n = rng.randint(2, max_rank)
-        B = random_skew_matrix(rng, n)
-        word = bounded_word(rng, B, rng.randint(1, max_depth))
-        seed = Seed.initial(B, SemifieldTag.UNIVERSAL)
-        # truncate a trial once the symbolic values get too large to compare
-        # quickly; involutivity is still exercised at every performed step
-        budget = 9.5  # ~ exp(9.5) = 13k expanded terms
-        for k in word:
-            if any(
-                _size_log(seed.x[i]) > budget or _size_log(seed.y[i]) > budget
-                for i in B.indices
-            ):
-                break
-            back = mutate_seed(mutate_seed(seed, k), k)
-            same = (
-                back.matrix == seed.matrix
-                and all(back.x[i] == seed.x[i] for i in B.indices)
-                and all(back.y[i] == seed.y[i] for i in B.indices)
-            )
-            if not same:
-                inv_ok = False
-                witness = {"trial": trial, "matrix": B.to_json(), "k": k}
-                break
-            seed = mutate_seed(seed, k)
-        if not inv_ok:
-            break
-    records.append(_record("seeds", "involutivity", inv_ok, witness))
 
-    laurent_ok = True
-    witness = None
-    for trial in range(10):
-        n = rng.randint(2, laurent_rank)
-        B = random_skew_matrix(rng, n)
-        word = bounded_word(rng, B, laurent_depth)
-        seed = Seed.initial(B, SemifieldTag.TRIVIAL)
-        for k in word:
-            if any(_size_log(seed.x[i]) > 9.5 for i in B.indices):
-                break
-            seed = mutate_seed(seed, k)
-        for i in B.indices:
-            val = seed.x[i].expand()
-            if not val.den.is_one():
-                laurent_ok = False
-                witness = {"trial": trial, "matrix": B.to_json(), "word": list(word), "index": i}
-                break
-        if not laurent_ok:
-            break
-    records.append(_record("seeds", "laurent", laurent_ok, witness))
-    return records
+    def involutivity():
+        for trial in range(50):
+            B = random_skew_matrix(rng, rng.randint(2, 6))
+            word = bounded_word(rng, B, rng.randint(1, 8))
+            seed = Seed.initial(B, SemifieldTag.UNIVERSAL)
+            for k in word:
+                if _too_large(v for i in B.indices for v in (seed.x[i], seed.y[i])):
+                    break
+                back = mutate_seed(mutate_seed(seed, k), k)
+                if not (
+                    back.matrix == seed.matrix
+                    and all(back.x[i] == seed.x[i] for i in B.indices)
+                    and all(back.y[i] == seed.y[i] for i in B.indices)
+                ):
+                    yield {"trial": trial, "matrix": B.to_json(), "k": k}
+                seed = mutate_seed(seed, k)
+
+    def laurent():
+        for trial in range(10):
+            B = random_skew_matrix(rng, rng.randint(2, 4))
+            word = bounded_word(rng, B, 6)
+            seed = Seed.initial(B, SemifieldTag.TRIVIAL)
+            for k in word:
+                if _too_large(seed.x[i] for i in B.indices):
+                    break
+                seed = mutate_seed(seed, k)
+            for i in B.indices:
+                if not seed.x[i].expand().den.is_one():
+                    yield {"trial": trial, "matrix": B.to_json(), "word": list(word), "index": i}
+
+    return [
+        _first_failure("seeds", "involutivity", involutivity()),
+        _first_failure("seeds", "laurent", laurent()),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -171,62 +162,46 @@ def seed_suite(
 # ---------------------------------------------------------------------------
 
 
-def poisson_suite(rng_seed: int = 0, n_trials: int = 20, max_rank: int = 5) -> list[dict]:
+def poisson_suite(rng_seed: int = 0) -> list[dict]:
     rng = random.Random(rng_seed)
-    records = []
-    ok = True
-    witness = None
-    trials = 0
-    while trials < n_trials:
-        n = rng.choice([2, 4, 4, rng.randint(2, max_rank)])
-        B = random_skew_matrix(rng, n)
-        c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
-        try:
-            P = solve_poisson(B, c)
-        except ValueError:
-            continue  # singular B; re-roll
-        trials += 1
-        k = rng.choice(B.indices)
-        Pm = mutate_poisson(P, B, k)
-        Bm = B.mutate(k)
-        if compatibility_constant(Pm, Bm) != c:
-            ok = False
-            witness = {"matrix": B.to_json(), "c": str(c), "k": k, "reason": "P'B' != cD"}
-            break
-        # oracle: brackets of the mutated cluster under the original structure
-        seed = mutate_seed(Seed.initial(B, SemifieldTag.TRIVIAL), k)
-        xs = {i: seed.x[i].expand() for i in B.indices}
-        mismatch = None
-        for a, i in enumerate(B.indices):
-            for j in B.indices[a + 1 :]:
-                val = symbolic_bracket(xs[i], xs[j], P)
-                r = is_log_canonical(xs[i], xs[j], val)
+
+    def failures():
+        trials = 0
+        while trials < 20:
+            B = random_skew_matrix(rng, rng.choice([2, 4, 4, rng.randint(2, 5)]))
+            c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            try:
+                P = solve_poisson(B, c)
+            except ValueError:
+                continue  # singular B; re-roll
+            trials += 1
+            k = rng.choice(B.indices)
+            Pm = mutate_poisson(P, B, k)
+            try:
+                compatible = compatibility_constant(Pm, B.mutate(k)) == c
+            except CompatibilityError:  # P'B' is not even diagonal
+                compatible = False
+            if not compatible:
+                yield {"matrix": B.to_json(), "c": str(c), "k": k, "reason": "P'B' != cD"}
+            # oracle: brackets of the mutated cluster under the original structure
+            seed = mutate_seed(Seed.initial(B, SemifieldTag.TRIVIAL), k)
+            xs = {i: seed.x[i].expand() for i in B.indices}
+            for i, j in combinations(B.indices, 2):
+                r = is_log_canonical(xs[i], xs[j], symbolic_bracket(xs[i], xs[j], P))
                 if r is None or r != Pm.entry(i, j):
-                    mismatch = (i, j, None if r is None else str(r))
-                    break
-            if mismatch:
-                break
-        if mismatch:
-            ok = False
-            witness = {"matrix": B.to_json(), "k": k, "pair": mismatch}
-            break
-    records.append(_record("poisson", "mutation-rule-oracle", ok, witness))
+                    yield {"matrix": B.to_json(), "k": k, "pair": (i, j, None if r is None else str(r))}
+
+    records = [_first_failure("poisson", "mutation-rule-oracle", failures())]
 
     # adversarial input: PB not diagonal must be rejected with a witness
     B = somos4_matrix()
     bad = PoissonMatrix(B.indices, {(0, 1): Fraction(1)}, c=Fraction(0))
     try:
         mutate_poisson(bad, B, 0)
-        records.append(_record("poisson", "adversarial-rejection", False))
+        rejection = None
     except CompatibilityError as e:
-        records.append(
-            _record(
-                "poisson",
-                "adversarial-rejection",
-                True,
-                {"witness_entry": list(e.witness), "value": str(e.value)},
-            )
-        )
+        rejection = {"witness_entry": list(e.witness), "value": str(e.value)}
+    records.append(_record("poisson", "adversarial-rejection", rejection is not None, rejection))
     return records
 
 
@@ -235,59 +210,52 @@ def poisson_suite(rng_seed: int = 0, n_trials: int = 20, max_rank: int = 5) -> l
 # ---------------------------------------------------------------------------
 
 
-def families_suite(rng_seed: int = 0, lo_block: int = -3, hi_block: int = 3) -> list[dict]:
+def families_suite(rng_seed: int = 0) -> list[dict]:
     rng = random.Random(rng_seed)
-    records = []
+    lo_block, hi_block = -3, 3
     lo, hi = 3 * lo_block, 3 * hi_block + 2
+    blocks = range(lo_block, hi_block + 1)
+    distances = range(1, hi_block - lo_block + 1)  # block distances j - i of the q-shifts
 
     def rfrac() -> Fraction:
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
 
-    from .matrices import lv_matrix
-
-    W = lv_matrix().window(lo, hi)
-    ok = True
-    witness = None
-    blocks = range(lo_block, hi_block + 1)
-    for trial in range(5):
-        params = LVPoissonParams(
+    def draw(cls, shifts, qs) -> LVPoissonParams:
+        """Random parameters: per-block shifts a_i, b_i for i in shifts and
+        q_ij for i < j in qs."""
+        return cls(
             a0=rfrac(),
             b0=rfrac(),
             c0=rfrac(),
-            a={i: rfrac() for i in blocks},
-            b={i: rfrac() for i in blocks},
-            q={(i, j): rfrac() for i in blocks for j in blocks if i < j},
+            a={i: rfrac() for i in shifts},
+            b={i: rfrac() for i in shifts},
+            q={(i, j): rfrac() for i in qs for j in qs if i < j},
         )
-        P = lv_general_P(params, lo_block, hi_block)
-        good, where = check_pb_zero_window(P, W)
-        if not good:
-            ok = False
-            witness = {"trial": trial, "entry": list(where)}
-            break
-    records.append(_record("families", "general-PB-zero", ok, witness))
 
-    ok = True
-    witness = None
-    for trial in range(5):
-        params = SymLVParams(
-            a0=rfrac(),
-            q={k: rfrac() for k in range(1, hi_block - lo_block + 1)},
-        )
-        P = lv_symmetric_P(params, lo_block, hi_block)
-        good, where = check_pb_zero_window(P, W)
-        if not good:
-            ok = False
-            witness = {"trial": trial, "entry": list(where)}
-            break
-    records.append(_record("families", "symmetric-PB-zero", ok, witness))
+    def general_P() -> PoissonMatrix:
+        return lv_general_P(draw(LVPoissonParams, blocks, blocks), lo_block, hi_block)
+
+    def symmetric_P() -> PoissonMatrix:
+        params = SymLVParams(a0=rfrac(), q={k: rfrac() for k in distances})
+        return lv_symmetric_P(params, lo_block, hi_block)
+
+    W = lv_matrix().window(lo, hi)
+
+    def pb_zero_failures(draw_P):
+        for trial in range(5):
+            good, where = check_pb_zero_window(draw_P(), W)
+            if not good:
+                yield {"trial": trial, "entry": list(where)}
+
+    records = [
+        _first_failure("families", "general-PB-zero", pb_zero_failures(general_P)),
+        _first_failure("families", "symmetric-PB-zero", pb_zero_failures(symmetric_P)),
+    ]
 
     # shift covariance under the composite class mutations: three classes
     # advance the structure one layer; p(u+1)_{ij} = p(u)_{i-1,j-1} at safe
     # entries, and three layers return it to itself
-    params = SymLVParams(
-        a0=Fraction(1),
-        q={k: Fraction(1, 2) ** k for k in range(1, hi_block - lo_block + 1)},
-    )
+    params = SymLVParams(a0=Fraction(1), q={k: Fraction(1, 2) ** k for k in distances})
     P0 = lv_symmetric_P(params, lo_block, hi_block)
     p, b = P0, W
     layers = [P0]
@@ -299,51 +267,26 @@ def families_suite(rng_seed: int = 0, lo_block: int = -3, hi_block: int = 3) -> 
     def safe(i: int, depth: int) -> bool:
         return min(i - lo, hi - i) >= 3 * depth
 
-    shift_ok = True
-    witness = None
-    for u in (0, 1, 2):
-        for i in range(lo, hi + 1):
-            for j in range(lo, hi + 1):
-                if i == j or not (safe(i, u + 1) and safe(j, u + 1)):
-                    continue
-                if not (safe(i - 1, u) and safe(j - 1, u)):
-                    continue
-                if layers[u + 1].entry(i, j) != layers[u].entry(i - 1, j - 1):
-                    shift_ok = False
-                    witness = {"u": u, "entry": [i, j]}
-                    break
-            if not shift_ok:
-                break
-        if not shift_ok:
-            break
-    records.append(_record("families", "shift-covariance", shift_ok, witness))
-
-    period_ok = True
-    witness = None
-    for i in range(lo, hi + 1):
-        for j in range(lo, hi + 1):
-            if i == j or not (safe(i, 3) and safe(j, 3)):
-                continue
-            if layers[3].entry(i, j) != layers[0].entry(i, j):
-                period_ok = False
-                witness = {"entry": [i, j]}
-                break
-        if not period_ok:
-            break
-    records.append(_record("families", "period-3", period_ok, witness))
+    window = range(lo, hi + 1)
+    shifted = (
+        {"u": u, "entry": [i, j]}
+        for u, i, j in product((0, 1, 2), window, window)
+        if i != j
+        and safe(i, u + 1) and safe(j, u + 1) and safe(i - 1, u) and safe(j - 1, u)
+        and layers[u + 1].entry(i, j) != layers[u].entry(i - 1, j - 1)
+    )
+    records.append(_first_failure("families", "shift-covariance", shifted))
+    returned = (
+        {"entry": [i, j]}
+        for i, j in product(window, window)
+        if i != j and safe(i, 3) and safe(j, 3) and layers[3].entry(i, j) != layers[0].entry(i, j)
+    )
+    records.append(_first_failure("families", "period-3", returned))
 
     # the periodic family, per-block shifts a_i, b_i included, solves PB = O
     # and spans the whole skew kernel of the periodic matrix
     for m in (3, 4):
-        params = PeriodicLVParams(
-            a0=rfrac(),
-            b0=rfrac(),
-            c0=rfrac(),
-            a={i: rfrac() for i in range(1, m)},
-            b={i: rfrac() for i in range(1, m)},
-            q={(i, j): rfrac() for i in range(m) for j in range(m) if i < j},
-        )
-        P = lv_periodic_P(m, params)
+        P = lv_periodic_P(m, draw(PeriodicLVParams, range(1, m), range(m)))
         Bm = lv_periodic_matrix(m)
         prod_zero = is_zero_matrix(mat_mul(P.to_dense(), Bm.to_dense()))
         records.append(_record("families", f"periodic-PB-zero-m{m}", prod_zero))
@@ -382,18 +325,14 @@ def periodic_span_record(m: int, family: list[PeriodicLVParams]) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def lv_suite(depth: int = 4, lo: int = -12, hi: int = 14) -> list[dict]:
-    state = lv_run(depth, lo, hi)
-    recs = lv_report(state)
+def _residual_record(suite: str, check: str, recs: list[dict]) -> dict:
     bad = [r for r in recs if not r["residual_zero"]]
-    return [
-        _record(
-            "lv",
-            "residuals",
-            not bad,
-            {"checked": len(recs), "failures": [r["site"] for r in bad]},
-        )
-    ]
+    witness = {"checked": len(recs), "failures": [r["site"] for r in bad]}
+    return _record(suite, check, not bad, witness)
+
+
+def lv_suite(depth: int = 4, lo: int = -12, hi: int = 14) -> list[dict]:
+    return [_residual_record("lv", "residuals", lv_report(lv_run(depth, lo, hi)))]
 
 
 def tau_suite(depth: int = 4, lo: int = -12, hi: int = 14, delta: Fraction = Fraction(1)) -> list[dict]:
@@ -420,21 +359,11 @@ def tau_suite(depth: int = 4, lo: int = -12, hi: int = 14, delta: Fraction = Fra
     ]
 
 
-def liouville_suite(Ns: tuple[int, ...] = (4, 5, 6), steps: int = 4) -> list[dict]:
-    records = []
-    for N in Ns:
-        state = liouville_run(N, steps)
-        recs = liouville_report(state)
-        bad = [r for r in recs if not r["residual_zero"]]
-        records.append(
-            _record(
-                "liouville",
-                f"d-liu-N{N}",
-                not bad,
-                {"checked": len(recs), "failures": [r["site"] for r in bad]},
-            )
-        )
-    return records
+def liouville_suite(Ns: tuple[int, ...] = (4, 5, 6)) -> list[dict]:
+    return [
+        _residual_record("liouville", f"d-liu-N{N}", liouville_report(liouville_run(N, 4)))
+        for N in Ns
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -442,45 +371,35 @@ def liouville_suite(Ns: tuple[int, ...] = (4, 5, 6), steps: int = 4) -> list[dic
 # ---------------------------------------------------------------------------
 
 
-def tropical_suite(rng_seed: int = 0, max_rank: int = 4, max_depth: int = 8) -> list[dict]:
+def tropical_suite(rng_seed: int = 0) -> list[dict]:
     rng = random.Random(rng_seed)
-    records = []
-    walk_ok = True
-    witness = None
-    for trial in range(8):
-        n = rng.randint(2, max_rank)
-        B = random_skew_matrix(rng, n)
-        word = bounded_word(rng, B, max_depth)
-        try:
-            walk = c_walk(B, word)
-        except Exception as e:  # branch disagreement is a hard failure
-            walk_ok = False
-            witness = {"trial": trial, "matrix": B.to_json(), "word": list(word), "error": str(e)}
-            break
-        for _, c in walk:
-            if not check_g_inverse(c, g_matrix(c)):
-                walk_ok = False
-                witness = {"trial": trial, "matrix": B.to_json(), "word": list(word)}
-                break
-        if not walk_ok:
-            break
-    records.append(_record("tropical", "c-walk-and-g-inverse", walk_ok, witness))
 
-    sep_ok = True
-    witness = None
-    cases = [(a2_matrix(), (0, 1, 0, 1, 0)), (somos4_matrix(), (0, 1, 2))]
-    for trial in range(3):
-        n = rng.randint(2, 3)
-        B = random_skew_matrix(rng, n)
-        cases.append((B, bounded_word(rng, B, rng.randint(1, 4), entry_cap=3)))
-    for B, word in cases:
-        rep = separation_check(B, word)
-        if not rep.ok:
-            sep_ok = False
-            witness = {"matrix": B.to_json(), "word": list(word)}
-            break
-    records.append(_record("tropical", "separation", sep_ok, witness))
-    return records
+    def walk_failures():
+        for trial in range(8):
+            B = random_skew_matrix(rng, rng.randint(2, 4))
+            word = bounded_word(rng, B, 8)
+            try:
+                walk = c_walk(B, word)
+            except Exception as e:  # branch disagreement is a hard failure
+                yield {"trial": trial, "matrix": B.to_json(), "word": list(word), "error": str(e)}
+                continue
+            if not all(check_g_inverse(c, g_matrix(c)) for _, c in walk):
+                yield {"trial": trial, "matrix": B.to_json(), "word": list(word)}
+
+    def separation_failures():
+        # the random cases are drawn once the walk check has stopped
+        cases = [(a2_matrix(), (0, 1, 0, 1, 0)), (somos4_matrix(), (0, 1, 2))]
+        for _ in range(3):
+            B = random_skew_matrix(rng, rng.randint(2, 3))
+            cases.append((B, bounded_word(rng, B, rng.randint(1, 4), entry_cap=3)))
+        for B, word in cases:
+            if not separation_check(B, word).ok:
+                yield {"matrix": B.to_json(), "word": list(word)}
+
+    return [
+        _first_failure("tropical", "c-walk-and-g-inverse", walk_failures()),
+        _first_failure("tropical", "separation", separation_failures()),
+    ]
 
 
 SUITES: dict[str, Callable[..., list[dict]]] = {

@@ -56,14 +56,7 @@ def _report(n: int, label: str, ok: bool, started: float, detail: str = "") -> N
 
 def test_criterion_1_involutivity_and_laurent():
     t0 = time.time()
-    records = seed_suite(
-        rng_seed=0,
-        n_matrices=50,
-        max_rank=6,
-        max_depth=8,
-        laurent_rank=4,
-        laurent_depth=6,
-    )
+    records = seed_suite(rng_seed=0)
     ok = all(r["ok"] for r in records)
     _report(1, "involutivity + Laurent", ok, t0)
     assert ok, [r for r in records if not r["ok"]]
@@ -92,7 +85,7 @@ def test_criterion_2_somos():
 
 def test_criterion_3_poisson_mutation_oracle():
     t0 = time.time()
-    records = poisson_suite(rng_seed=0, n_trials=20, max_rank=5)
+    records = poisson_suite(rng_seed=0)
     ok = all(r["ok"] for r in records)
     _report(3, "Poisson mutation rule vs bracket oracle + adversarial", ok, t0)
     assert ok, [r for r in records if not r["ok"]]
@@ -123,7 +116,7 @@ def test_criterion_4_lv_identities():
 
 def test_criterion_5_lv_poisson_families():
     t0 = time.time()
-    records = families_suite(rng_seed=0, lo_block=-3, hi_block=3)
+    records = families_suite(rng_seed=0)
     family_ok = all(r["ok"] for r in records)
     dims = {
         3: next(r["witness"]["dimension"] for r in records if r["check"] == "periodic-kernel-dim-m3"),
@@ -170,7 +163,7 @@ def test_criterion_6_bracket_tables():
         lo_b - pad,
         hi_b + pad,
     )
-    ext = ExtendedPoisson(Px=Px, B=W, c_x=Fraction(0), c_y=cy)
+    ext = ExtendedPoisson(Px=Px, B=W, c_y=cy)
     pairs = ext.flat_pairs()
     state = lv_run(3, lo, hi)
     fs = {b: state.f_value(0, 3 * b).expand() for b in range(lo_b, hi_b + 1)}
@@ -252,7 +245,7 @@ def test_criterion_7_liouville_dynamics():
 
 def test_criterion_8_tropical_machinery():
     t0 = time.time()
-    records = tropical_suite(rng_seed=0, max_rank=4, max_depth=8)
+    records = tropical_suite(rng_seed=0)
     ok = all(r["ok"] for r in records)
     _report(8, "C/G/F machinery + separation reconstruction", ok, t0)
     assert ok, [r for r in records if not r["ok"]]

@@ -9,10 +9,11 @@ failure (the records after it depend on where the draws stopped).
 
 import dataclasses
 import itertools
+import json
 import types
 from fractions import Fraction
 
-from clusterflow import verify
+from clusterflow import cli, verify
 from clusterflow.algebra import RatFunc
 from clusterflow.factored import Factored
 from clusterflow.poisson import PoissonMatrix
@@ -37,9 +38,8 @@ def doubled_first_x(seed):
     return dataclasses.replace(seed, x={**seed.x, i: seed.x[i] * Factored.constant(2)})
 
 
-def bumped_entry(out):
-    p, b = out
-    return PoissonMatrix(p.indices, {**p.data, (0, 1): p.entry(0, 1) + 1}, c=p.c), b
+def bumped(P):
+    return PoissonMatrix(P.indices, {**P.data, (0, 1): P.entry(0, 1) + 1}, c=P.c)
 
 
 def failed_report(_):
@@ -163,6 +163,34 @@ def test_mutated_structure_with_the_wrong_constant(monkeypatch):
     ]
 
 
+def test_incompatible_mutated_structure_is_a_failure_not_bad_input(monkeypatch, capsys):
+    # P'B' is not diagonal, so compatibility_constant raises CompatibilityError
+    # (a ValueError); the check records it instead of exiting 2 on bad input
+    corrupt(monkeypatch, verify, "mutate_poisson", {7}, bumped)
+    assert cli.main(["verify", "poisson", "--rng-seed", "3"]) == 1
+    assert json.loads(capsys.readouterr().out) == [
+        {
+            "suite": "poisson",
+            "check": "mutation-rule-oracle",
+            "ok": False,
+            "witness": {
+                "matrix": {
+                    "kind": "finite",
+                    "n": 4,
+                    "entries": [
+                        [0, 1, -2], [0, 3, 1], [1, 0, 2], [1, 2, 1], [1, 3, -2],
+                        [2, 1, -1], [2, 3, -2], [3, 0, -1], [3, 1, 2], [3, 2, 2],
+                    ],
+                },
+                "c": "5/3",
+                "k": 0,
+                "reason": "P'B' != cD",
+            },
+        },
+        ADVERSARIAL,
+    ]
+
+
 PERIODIC = [
     {"suite": "families", "check": "periodic-PB-zero-m3", "ok": True},
     {
@@ -203,7 +231,7 @@ def test_failing_pb_zero_window(monkeypatch):
 
 
 def test_perturbed_mutation_layer(monkeypatch):
-    corrupt(monkeypatch, verify, "mutate_poisson_many", {2}, bumped_entry)
+    corrupt(monkeypatch, verify, "mutate_poisson_many", {2}, lambda pb: (bumped(pb[0]), pb[1]))
     assert verify.families_suite() == [
         {"suite": "families", "check": "general-PB-zero", "ok": True},
         {"suite": "families", "check": "symmetric-PB-zero", "ok": True},
