@@ -5,7 +5,9 @@ suites at rng seed 0.
 
 The digests pin the exact factored forms: for every layer, every x and y
 value's coefficient, monomial, and each base's sorted terms with its
-exponent.  Any change to the exact kernel must leave them untouched.  The
+exponent.  A second digest of the universal, constant-coefficient and
+tropical runs also pins the order in which each value holds its bases.  Any
+change to the exact kernel must leave them untouched.  The
 universal run includes failing trial divisions; the constant-coefficient run
 (delta = 1) is the one the tau identification reads.  The tropical run's
 digest pins the canonical num/den pairs its x values expand to and the
@@ -13,6 +15,7 @@ tropical y exponents.
 """
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -67,6 +70,42 @@ def test_constant_depth5_digest():
     assert seed_digest(state) == (
         "afad358e7fee7f29329d8ef33abb7e4cc8c89582dbc6f2ddd56fb0565a268a95"
     )
+
+
+def factored_form_digest(state) -> str:
+    """Every x and y value of every layer as its coefficient, its monomial
+    and the ordered list of (base, exponent) pairs, so the insertion order
+    of the bases is pinned as well as their values."""
+    lines = []
+    for u, seed in enumerate(state.seeds):
+        for kind, values in (("x", seed.x), ("y", seed.y)):
+            for i in sorted(values):
+                v = values[i]
+                powers = [(json.dumps(p.to_json(), sort_keys=True), e) for p, e in v.powers.items()]
+                lines.append(repr((u, kind, i, _coeff(v.coeff), tuple(v.mono), powers)))
+    return _digest(lines)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            (5, -18, 20),
+            "9cac5a268dcb9c670ef50310866fe692d1a637b681613da0edbafa3f93519fab",
+        ),
+        (
+            (5, -45, 47, SemifieldTag.UNIVERSAL, Fraction(1)),
+            "5211f36e690d0e00c8b7d35de0dafc44217608444a6de5436cb73365f108aaf6",
+        ),
+        (
+            (5, -15, 17, SemifieldTag.TROPICAL),
+            "af268170246eb59653abe0a5509a693d5ee5b1836952e8bc18731bc32e3d618f",
+        ),
+    ],
+    ids=["universal", "constant", "tropical"],
+)
+def test_factored_form_digest(args, digest):
+    assert factored_form_digest(lv_run(*args)) == digest
 
 
 def tropical_digest(state) -> str:
