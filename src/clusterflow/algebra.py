@@ -328,6 +328,13 @@ class Terms(Mapping):
         return self._t.values()
 
 
+# `LaurentPoly._image` is a ring map Z[x, 1/x] -> F_P[v, 1/v] (Zippel,
+# EUROSAM 1979): an image of d that does not divide that of s proves d does
+# not divide s.
+IMAGE_PRIME = 2**61 - 1
+_POW3: list[list[int]] = []  # [j][b] = 3**(b * 256**j) mod IMAGE_PRIME, on first use
+
+
 def _poly(t: dict[int, int], lo: int | None = None, hi: int | None = None) -> "LaurentPoly":
     """A LaurentPoly on a packed term dict with no zero coefficients, and
     its exact per-variable exponent range when known."""
@@ -335,7 +342,7 @@ def _poly(t: dict[int, int], lo: int | None = None, hi: int | None = None) -> "L
     p._t = t
     p._lo = lo
     p._hi = hi
-    p._hash = None
+    p._hash = p._img = None
     return p
 
 
@@ -349,7 +356,7 @@ class LaurentPoly:
     is formed.
     """
 
-    __slots__ = ("_t", "_lo", "_hi", "_hash")
+    __slots__ = ("_t", "_lo", "_hi", "_hash", "_img")
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
         t: dict[int, int] = {}
@@ -360,7 +367,7 @@ class LaurentPoly:
             raise TermLimitExceeded(f"{len(t)} terms")
         self._t = t
         self._lo = self._hi = None
-        self._hash: int | None = None
+        self._hash = self._img = None  # cached hash, images per field
 
     @property
     def terms(self) -> Terms:
@@ -531,6 +538,26 @@ class LaurentPoly:
         if self._hash is None:
             self._hash = hash(frozenset(self._t.items()))
         return self._hash
+
+    def _image(self, shift: int) -> dict[int, int]:
+        """The image mod IMAGE_PRIME, {v-exponent: coefficient}, that keeps
+        the variable v at bit offset shift and sends the one at offset s to
+        3**(2**s), so the term k v**e goes to 3**(k - (e << shift)) v**e."""
+        self._img = self._img or {}
+        out = self._img.get(shift)
+        if out is None:
+            out, bias, P = {}, _BIAS, IMAGE_PRIME
+            if not _POW3:  # so that pow(3, x, P) takes one entry per byte of x
+                _POW3[:] = ([pow(g, b, P) for b in range(256)]
+                            for g in (pow(3, 256**j, P) for j in range(8)))
+            for k, c in self._t.items():
+                e = (((k + bias) >> shift) & _FILL) - EXP_LIMIT
+                x = (k - (e << shift)) % (P - 1)
+                for t in _POW3:
+                    c, x = c * t[x & 255] % P, x >> 8
+                out[e] = out.get(e, 0) + c
+            out = self._img[shift] = {e: c % P for e, c in out.items() if c % P}
+        return out
 
     # -- calculus ----------------------------------------------------------
 
@@ -964,11 +991,12 @@ def _reduce(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     np = num._shifted(-shift_n)
     dp = den._shifted(-shift_d)
     if not dp.is_constant():
-        q = try_exact_div(np, dp)
+        cd = dp.content()  # a rational scalar in den must not hide a Laurent value
+        q = try_exact_div(np, dp.divide(cd))
         if q is not None:
-            # np and dp have min exponent 0 in every variable, so q does too:
-            # (q, 1) is already the canonical pair
-            return q._shifted(_key_div(shift_n, shift_d)), LaurentPoly.one()
+            # q has min exponents 0, so q / cd over their content is canonical
+            g = math.gcd(q.content(), cd)
+            return q.divide(g)._shifted(_key_div(shift_n, shift_d)), LaurentPoly.constant(cd // g)
         g = poly_gcd(np, dp)
         if not g.is_one():
             np = exact_div_laurent(np, g)

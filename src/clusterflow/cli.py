@@ -33,7 +33,7 @@ from .matrices import (
 )
 from .poisson import skew_kernel, solve_poisson
 from .seeds import Seed, mutate_many, mutate_seed
-from .verify import SUITES, run_suite
+from .verify import SUITES, bind_suite, run_suite
 
 
 class BadInput(ValueError):
@@ -180,11 +180,12 @@ def cmd_verify(args) -> int:
     if args.rng_seed is not None and args.suite not in ("lv", "tau", "liouville"):
         params["rng_seed"] = args.rng_seed
     try:
-        records = run_suite(args.suite, **params)
+        bind_suite(args.suite, **params)
     except KeyError as e:
         raise BadInput(str(e)) from e
     except TypeError as e:
         raise BadInput(f"parameters do not apply to suite {args.suite!r}: {e}") from e
+    records = run_suite(args.suite, **params)
     ok = all(r["ok"] for r in records)
     if args.format == "csv":
         rows = [

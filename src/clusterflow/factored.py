@@ -14,11 +14,12 @@ with canonical polynomial bases (integer coefficients, per-variable minimum
 exponent zero, content one, deterministic sign) and integer exponents of
 either sign.  coeff is the only rational number; `expand()` puts its
 numerator in num and its denominator in den.  Products, quotients, and
-powers are exponent bookkeeping.  Addition extracts the common factor,
-expands the two small cofactors over the lcm of the coefficients'
-denominators, and registers the resulting sum as a new base; the
-Laurent-phenomenon cancellations are recovered by exact division of the new
-base against the denominator bases, so no polynomial gcd is ever needed.
+powers are exponent bookkeeping.  Addition extracts the common factor and
+keeps the sum as two cofactors X + Y over the lcm of the coefficients'
+denominators.  The Laurent-phenomenon cancellations are recovered by trial
+division by the denominator bases (exactly by Y's factors for a factor of
+X, disproved by modular images, else on the expanded sum), so no polynomial
+gcd is ever needed.  The sum is expanded once and registered as a new base.
 Every base is primitive, so that division stays in the integers.  Equality
 and zero tests go through subtraction, which is exact by the same route.
 """
@@ -30,6 +31,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .algebra import (
+    IMAGE_PRIME as P,
     LaurentPoly,
     Mono,
     RatFunc,
@@ -37,6 +39,7 @@ from .algebra import (
     _key_min,
     _key_mul,
     _key_pow,
+    _SLOT,
     _pack,
     _poly,
     _tuple_first,
@@ -67,6 +70,78 @@ def _expand(coeff: int, key: int, pows: Mapping[LaurentPoly, int]) -> LaurentPol
         if e:
             out = out * p**e
     return out
+
+
+def _dense(img: dict[int, int]) -> list[int]:
+    """An image's coefficients mod P, lowest to highest nonzero ([] for 0)."""
+    img = {e: c % P for e, c in img.items() if c % P}
+    return [img.get(e, 0) for e in range(min(img), max(img) + 1)] if img else []
+
+
+def _divides(d: list[int], s: list[int]) -> bool:
+    """Whether d divides s in F_P[v], for nonzero dense images."""
+    n, r, inv = len(d) - 1, list(s), pow(d[-1], -1, P)
+    for i in range(len(s) - 1 - n, -1, -1):
+        q = r[i + n] * inv % P
+        for j in range(n):
+            r[i + j] = (r[i + j] - q * d[j]) % P
+    return len(s) > n and not any(r[:n])
+
+
+def _images(sides, p: LaurentPoly) -> tuple[list[int], list[int]]:
+    """The dense images of the pending sum and of p in p's widest variable."""
+    lo, hi = p._range()
+    shift = _SLOT[max(_unpack(hi - lo), key=lambda ve: ve[1])[0]]  # least variable on ties
+    return _sum_image(sides, shift), _dense(p._image(shift))
+
+
+def _sum_image(sides, shift: int) -> list[int]:
+    """The dense image of X + Y in the variable at shift, from the factors'."""
+    if shift not in sides[2]:
+        total: dict[int, int] = {}
+        for coeff, key, factors in sides[:2]:
+            img = _poly({key: coeff})._image(shift)
+            for q, n in factors.items():
+                for _ in range(n):
+                    prod: dict[int, int] = {}
+                    for i, x in img.items():
+                        for j, y in q._image(shift).items():
+                            prod[i + j] = (prod.get(i + j, 0) + x * y) % P
+                    img = prod
+            total = {e: total.get(e, 0) + img.get(e, 0) for e in {*total, *img}}
+        sides[2][shift] = _dense(total)
+    return sides[2][shift]
+
+
+def _is_new(sides, powers: Mapping[LaurentPoly, int]) -> bool:
+    """Whether images prove that the pending sum's base is not in powers."""
+    for p in powers:
+        s, d = _images(sides, p)
+        if not s or len(d) == len(s) and _divides(d, s):
+            return False
+    return True
+
+
+def _divide(sides, d: LaurentPoly) -> bool | None:
+    """Whether the base d divides X + Y (then divided in place), None if
+    undecided: a factor d of X does iff it divides Y, as when it divides a
+    factor of Y, and d does not if its image does not divide the sum's."""
+    for a, b in (sides[:2], sides[1::-1]):
+        if a[2].get(d):
+            for q, n in b[2].items():
+                r = try_exact_div(q, d) if n else None
+                if r is not None:
+                    a[2][d] -= 1
+                    b[2][q] -= 1
+                    c, _, base = _split(r)  # q, d and so r have least exponents 0
+                    b[0] *= c
+                    if base is not None:
+                        b[2][base] = b[2].get(base, 0) + 1
+                    sides[2].clear()
+                    return True
+            break
+    s, dd = _images(sides, d)  # a zero image proves nothing: P may divide the unit
+    return None if not s or dd and _divides(dd, s) else False
 
 
 class Factored:
@@ -195,62 +270,51 @@ class Factored:
             e = min(self.powers.get(p, 0), other.powers.get(p, 0))
             if e:
                 cpow[p] = e
-        # both cofactors over the lcm of the coefficients' denominators
-        da, db = self.coeff.denominator, other.coeff.denominator
-        den = math.lcm(da, db)
-        pa = _expand(
-            self.coeff.numerator * (den // da),
-            _key_div(self.key, cm),
-            {p: self.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
-        )
-        pb = _expand(
-            other.coeff.numerator * (den // db),
-            _key_div(other.key, cm),
-            {p: other.powers.get(p, 0) - cpow.get(p, 0) for p in keys},
-        )
-        s = pa + pb
-        if s.is_zero():
-            return Factored.zero()
-        c, shift, base = _split(s)
-        m = _key_mul(cm, shift)
+        # the sum X + Y as [coeff, key, {base: power}] each, and an image memo
+        den = math.lcm(self.coeff.denominator, other.coeff.denominator)
+        sides = [
+            [f.coeff.numerator * (den // f.coeff.denominator), _key_div(f.key, cm),
+             {p: e for p in keys if (e := f.powers.get(p, 0) - cpow.get(p, 0))}]
+            for f in (self, other)
+        ] + [{}]
         powers = dict(cpow)
         # cancel the fresh base against denominator bases by exact division;
         # this is where the Laurent phenomenon keeps factored forms small.
         # A divisor that failed is never tried again: if d does not divide
         # the base B, it does not divide B/p (up to the unit _split takes
-        # out) either, or it would divide (B/p)*p = B.
+        # out) either, or it would divide (B/p)*p = B.  A decision that needs
+        # the sum expanded sees the same base, so its answer is the same.
         failed: set[LaurentPoly] = set()
-        while base is not None:
-            if base in powers:
-                ne = powers[base] + 1
-                if ne:
-                    powers[base] = ne
-                else:
-                    del powers[base]
-                base = None
+        undecided = False
+        while True:
+            cands = [p for p, e in powers.items() if e < 0 and p not in failed]
+            if sides and (undecided or not cands or not _is_new(sides, powers)):
+                s = _expand(*sides[0]) + _expand(*sides[1])
+                if s.is_zero():
+                    return Factored.zero()
+                c, shift, base = _split(s)
+                m, sides = _key_mul(cm, shift), None
+            if not sides and (base is None or base in powers or not cands):
+                if base is not None:
+                    powers[base] = powers.get(base, 0) + 1
+                    if not powers[base]:
+                        del powers[base]
                 break
-            divided = False
-            for p, e in powers.items():
-                if e < 0 and p not in failed:
-                    q = try_exact_div(base, p)
-                    if q is None:
-                        failed.add(p)
-                    else:
-                        ne = e + 1
-                        if ne:
-                            powers[p] = ne
-                        else:
-                            del powers[p]
-                        cq, sq, base = _split(q)
-                        c *= cq
-                        m = _key_mul(m, sq)
-                        divided = True
+            for p in cands:
+                if sides:
+                    if undecided := (ok := _divide(sides, p)) is None:
                         break
-            if not divided:
-                powers[base] = powers.get(base, 0) + 1
-                if powers[base] == 0:
-                    del powers[base]
-                base = None
+                else:
+                    ok = (q := try_exact_div(base, p)) is not None
+                    if ok:
+                        cq, sq, base = _split(q)
+                        c, m = c * cq, _key_mul(m, sq)
+                if ok:
+                    powers[p] += 1
+                    if not powers[p]:
+                        del powers[p]
+                    break
+                failed.add(p)
         return Factored(Fraction(c, den), m, powers)
 
     def __sub__(self, other: "Factored") -> "Factored":

@@ -8,6 +8,7 @@ suites are pure and deterministic for a fixed rng_seed.
 
 from __future__ import annotations
 
+import inspect
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -413,12 +414,18 @@ SUITES: dict[str, Callable[..., list[dict]]] = {
 }
 
 
-def run_suite(name: str, **params) -> list[dict]:
-    if name == "all":
-        out = []
-        for fn in SUITES.values():
-            out.extend(fn())
-        return out
-    if name not in SUITES:
+def bind_suite(name: str, **params) -> list[tuple[Callable[..., list[dict]], dict]]:
+    """The calls run_suite makes: the suite, or every suite for 'all', with
+    the parameters its signature names.  KeyError on an unknown suite,
+    TypeError on a parameter that no suite takes."""
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; known: {', '.join(SUITES)} or 'all'")
-    return SUITES[name](**params)
+    calls = [(fn, {k: v for k, v in params.items() if k in inspect.signature(fn).parameters})
+             for fn in (SUITES.values() if name == "all" else [SUITES[name]])]
+    if unused := set(params).difference(*(kw for _, kw in calls)):
+        raise TypeError(f"no suite takes {', '.join(sorted(unused))}")
+    return calls
+
+
+def run_suite(name: str, **params) -> list[dict]:
+    return [r for fn, kw in bind_suite(name, **params) for r in fn(**kw)]

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, determinism, documented examples."""
 
+import inspect
 import json
+from fractions import Fraction
 
 import pytest
 
-from clusterflow import cli
+from clusterflow import cli, verify
 from clusterflow.cli import main
 
 
@@ -101,6 +103,58 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "verify", "bogus")
         assert code == 2
+
+    @staticmethod
+    def _record_calls(monkeypatch) -> dict:
+        """Replace every suite by one with its signature that records the
+        parameters it is called with."""
+        seen = {}
+        for name, fn in list(verify.SUITES.items()):
+            def fake(_name=name, **kw):
+                seen[_name] = kw
+                return [{"suite": _name, "check": "fake", "ok": True}]
+            fake.__signature__ = inspect.signature(fn)
+            monkeypatch.setitem(verify.SUITES, name, fake)
+        return seen
+
+    def test_all_passes_each_suite_its_parameters(self, monkeypatch, capsys):
+        seen = self._record_calls(monkeypatch)
+        code, _ = run_cli(
+            capsys, "verify", "all", "--rng-seed", "5", "--N", "4", "--depth", "3",
+            "--window=-6..8", "--delta", "1/2",
+        )
+        assert code == 0
+        lattice = {"depth": 3, "lo": -6, "hi": 8}
+        assert seen == {
+            "seeds": {"rng_seed": 5},
+            "poisson": {"rng_seed": 5},
+            "families": {"rng_seed": 5},
+            "lv": lattice,
+            "tau": {**lattice, "delta": Fraction(1, 2)},
+            "liouville": {"Ns": (4,)},
+            "tropical": {"rng_seed": 5},
+        }
+        code, _ = run_cli(capsys, "verify", "all")
+        assert code == 0
+        assert all(kw == {} for kw in seen.values())
+
+    def test_all_rejects_a_parameter_no_suite_takes(self, monkeypatch, capsys):
+        seen = self._record_calls(monkeypatch)
+        monkeypatch.setitem(verify.SUITES, "liouville", lambda: [])
+        code, _ = run_cli(capsys, "verify", "all", "--N", "4")
+        assert code == 2
+        assert not seen
+        with pytest.raises(TypeError):
+            verify.run_suite("all", bogus=1)
+
+    def test_type_error_inside_a_suite_is_internal(self, monkeypatch, capsys):
+        def broken(rng_seed: int = 0):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(verify.SUITES, "seeds", broken)
+        code = main(["verify", "seeds"])
+        assert code == 4
+        assert capsys.readouterr().err == "internal error: TypeError: unsupported operand\n"
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

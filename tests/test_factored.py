@@ -1,11 +1,15 @@
 """Factored values: the trial divisions of a sum do not depend on labels,
-a divisor that failed is not tried again, and bases hold int coefficients
-even when the values are rational."""
+a divisor that failed is not tried again, an image never rejects a true
+divisor, trial divisions never expand a sum past the run's largest base,
+and bases hold int coefficients even when the values are rational."""
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from clusterflow import factored
-from clusterflow.algebra import xvar
+from clusterflow.algebra import IMAGE_PRIME, LaurentPoly, mono, try_exact_div, xvar
 from clusterflow.dynamics import lv_run
-from clusterflow.factored import Factored
+from clusterflow.factored import Factored, _divide, _is_new, _split
 
 
 def _trial_divisions(monkeypatch, lo: int, hi: int) -> tuple[int, int]:
@@ -70,3 +74,80 @@ def test_bases_of_a_constant_coefficient_run_hold_ints():
     }
     assert bases
     assert all(type(c) is int for p in bases.values() for c in p.terms.values())
+
+
+def _poly(max_terms: int):
+    term = st.tuples(
+        st.integers(-4, 4),
+        st.dictionaries(st.sampled_from((0, 1, 2)), st.integers(0, 2), max_size=3),
+    )
+    return st.lists(term, min_size=1, max_size=max_terms).map(
+        lambda terms: sum((LaurentPoly.monomial(mono(m), c) for c, m in terms), LaurentPoly.zero())
+    )
+
+
+def _pending(s: LaurentPoly, cut: int, unit: int) -> list:
+    """s times unit as a pending sum X + Y: its first cut terms and the rest,
+    each as coefficient, monomial and one base."""
+    items = sorted(s.terms.items())
+    sides = []
+    for part in (items[:cut], items[cut:]):
+        if not part:
+            sides.append([0, 0, {}])
+            continue
+        c, key, base = _split(LaurentPoly(dict(part)))
+        sides.append([unit * c, key, {} if base is None else {base: 1}])
+    return sides + [{}]
+
+
+@given(_poly(4), _poly(4), st.integers(0, 8), st.sampled_from((1, 5 * IMAGE_PRIME)))
+@settings(max_examples=200, deadline=None)
+def test_image_never_rejects_a_true_divisor(d, q, cut, unit):
+    # a unit that P divides maps the whole sum to zero, which proves nothing
+    d = _split(d)[2] if not d.is_zero() else None
+    s = None if d is None else d * q
+    assume(s is not None and not s.is_zero())
+    sides = _pending(s, cut, unit)
+    assume(d not in sides[0][2] and d not in sides[1][2])
+    assert _divide(sides, d) is None
+    if _split(s)[2] == d:
+        assert not _is_new(sides, {d: -1})
+
+
+@given(_poly(5), _poly(3), st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_image_rejections_agree_with_exact_division(s, d, cut):
+    assume(not s.is_zero() and not d.is_zero())
+    d = _split(d)[2]
+    assume(d is not None)
+    sides = _pending(s, cut, 1)
+    assume(d not in sides[0][2] and d not in sides[1][2])
+    verdict = _divide(sides, d)
+    assert verdict is not True
+    if verdict is False:
+        assert try_exact_div(s, d) is None
+    if _is_new(sides, {d: -1}):
+        assert _split(s)[2] != d
+
+
+def test_trial_divisions_stay_within_the_largest_base(monkeypatch):
+    # factored sums divide factors, not expanded sums: no dividend is
+    # larger than the largest base the run holds
+    sizes = []
+    divide = factored.try_exact_div
+
+    def recording(n, d):
+        sizes.append(len(n.terms))
+        return divide(n, d)
+
+    with monkeypatch.context() as m:
+        m.setattr(factored, "try_exact_div", recording)
+        state = lv_run(5, -18, 20)
+    largest = max(
+        len(p.terms)
+        for seed in state.seeds
+        for v in (*seed.x.values(), *seed.y.values())
+        for p in v.powers
+    )
+    assert largest == 1409
+    assert sizes and max(sizes) <= largest

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from clusterflow import algebra  # noqa: E402
 from clusterflow.algebra import (  # noqa: E402
     DivisionFails,
     LaurentPoly,
@@ -193,3 +194,24 @@ def test_ratfunc_of_divisible_pair_matches_sympy(den, q, m, s):
     scaled = RatFunc.constant(s) * r
     check_canonical_form(scaled, sympy.Rational(s) * to_sympy(q * m))
     assert scaled.den.is_constant()
+
+
+@given(laurent, polynomial, st.integers(-12, 12).filter(bool), monomial)
+@settings(max_examples=50, deadline=None)
+def test_ratfunc_of_pair_with_den_content_matches_sympy(q, pp, k, m):
+    # den = k * pp with pp dividing num: the value is a Laurent polynomial
+    # over the integer k, found by dividing by den's primitive part, with no
+    # gcd taken
+    if pp.is_constant():
+        return
+    num, den = pp * q * m, pp * LaurentPoly.constant(k)
+    calls = []
+    gcd = algebra.poly_gcd
+    algebra.poly_gcd = lambda a, b: calls.append(1) or gcd(a, b)
+    try:
+        r = RatFunc(num, den)
+    finally:
+        algebra.poly_gcd = gcd
+    check_canonical_form(r, to_sympy(num) / to_sympy(den))
+    assert r.den.is_constant()
+    assert not calls
