@@ -1,7 +1,8 @@
 """Factored values: the trial divisions of a sum do not depend on labels,
 a divisor that failed is not tried again, an image never rejects a true
-divisor, trial divisions never expand a sum past the run's largest base,
-and bases hold int coefficients even when the values are rational."""
+divisor, a divisor images cannot decide is divided exactly, trial divisions
+never expand a sum past the run's largest base, and bases hold int
+coefficients even when the values are rational."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,36 @@ def test_image_rejections_agree_with_exact_division(s, d, cut):
         assert try_exact_div(s, d) is None
     if _is_new(sides, {d: -1}):
         assert _split(s)[2] != d
+
+
+def test_undecided_divisor_is_divided_exactly(monkeypatch):
+    # (1 + x1)/A + x0 (2 + x0 + x1)/A with A = 1 + x0: A is a factor of
+    # neither cofactor and its image divides the sum's, so the sum is
+    # expanded and divided exactly, to 1 + x0 + x1
+    x0, x1 = (Factored.variable(xvar(i)) for i in range(2))
+    one = Factored.one()
+    den = (one + x0) ** -1
+    a, b = (one + x1) * den, x0 * (one + one + x0 + x1) * den
+    calls = []
+    divide, decide = factored.try_exact_div, factored._divide
+
+    def recording(n, d):
+        q = divide(n, d)
+        calls.append((len(n.terms), q is not None))
+        return q
+
+    def deciding(sides, d):
+        verdict = decide(sides, d)
+        calls.append(verdict)
+        return verdict
+
+    with monkeypatch.context() as m:
+        m.setattr(factored, "try_exact_div", recording)
+        m.setattr(factored, "_divide", deciding)
+        total = a + b
+    assert calls == [None, (5, True)]
+    base = LaurentPoly({((xvar(0), 1),): 1, ((xvar(1), 1),): 1, (): 1})
+    assert (total.coeff, total.key, total.powers) == (1, 0, {base: 1})
 
 
 def test_trial_divisions_stay_within_the_largest_base(monkeypatch):
