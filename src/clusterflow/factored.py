@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .algebra import (
@@ -73,8 +74,8 @@ def _expand(coeff: int, key: int, pows: Mapping[LaurentPoly, int]) -> LaurentPol
 
 
 def _dense(img: dict[int, int]) -> list[int]:
-    """An image's coefficients mod P, lowest to highest nonzero ([] for 0)."""
-    img = {e: c % P for e, c in img.items() if c % P}
+    """An image without zero coefficients as a list from its lowest to its
+    highest power of v, so equal up to a unit c * v**k; [] for zero."""
     return [img.get(e, 0) for e in range(min(img), max(img) + 1)] if img else []
 
 
@@ -91,7 +92,7 @@ def _divides(d: list[int], s: list[int]) -> bool:
 def _images(sides, p: LaurentPoly) -> tuple[list[int], list[int]]:
     """The dense images of the pending sum and of p in p's widest variable."""
     lo, hi = p._range()
-    shift = _SLOT[max(_unpack(hi - lo), key=lambda ve: ve[1])[0]]  # least variable on ties
+    shift = _SLOT[max(span := dict(_unpack(hi - lo)), key=span.get)]  # least variable on ties
     return _sum_image(sides, shift), _dense(p._image(shift))
 
 
@@ -104,11 +105,10 @@ def _sum_image(sides, shift: int) -> list[int]:
             for q, n in factors.items():
                 for _ in range(n):
                     prod: dict[int, int] = {}
-                    for i, x in img.items():
-                        for j, y in q._image(shift).items():
-                            prod[i + j] = (prod.get(i + j, 0) + x * y) % P
+                    for (i, x), (j, y) in product(img.items(), q._image(shift).items()):
+                        prod[i + j] = (prod.get(i + j, 0) + x * y) % P
                     img = prod
-            total = {e: total.get(e, 0) + img.get(e, 0) for e in {*total, *img}}
+            total = {e: c for e in {*total, *img} if (c := (total.get(e, 0) + img.get(e, 0)) % P)}
         sides[2][shift] = _dense(total)
     return sides[2][shift]
 
