@@ -542,7 +542,9 @@ class LaurentPoly:
     def _image(self, shift: int) -> dict[int, int]:
         """The image mod IMAGE_PRIME, {v-exponent: coefficient}, that keeps
         the variable v at bit offset shift and sends the one at offset s to
-        3**(2**s), so the term k v**e goes to 3**(k - (e << shift)) v**e."""
+        3**(2**s), so the term k v**e goes to 3**(k - (e << shift)) v**e.
+        Images are cached in _img by shift; `factored` keeps a base's widest
+        image there under None."""
         self._img = self._img or {}
         out = self._img.get(shift)
         if out is None:
@@ -587,31 +589,24 @@ class LaurentPoly:
         """gcd of the coefficients (positive), 0 for the zero polynomial."""
         return math.gcd(*self._t.values())
 
-    def substitute(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
-        """Evaluate with some variables replaced by rational functions."""
-        total = RatFunc.zero()
-        pw: dict[tuple[int, int], RatFunc] = {}
-
-        def power(v: int, e: int) -> RatFunc:
-            key = (v, e)
-            if key not in pw:
-                pw[key] = values[v] ** e
-            return pw[key]
-
-        for m, c in self.terms.items():
-            leftover: dict[int, int] = {}
-            factor = RatFunc.constant(c)
-            for v, e in m:
-                if v in values:
-                    factor = factor * power(v, e)
-                else:
-                    leftover[v] = e
-            if leftover:
-                factor = factor * RatFunc.from_poly(
-                    LaurentPoly.monomial(mono(leftover))
-                )
-            total = total + factor
-        return total
+    def substitute(self, values: Mapping[int, Mono]) -> "LaurentPoly":
+        """The image under the ring map that sends each variable v in values
+        to the Laurent monomial values[v] and fixes the others."""
+        maps = [(s, _pack(m)) for v, m in values.items() if (s := _SLOT.get(v)) is not None]
+        pw: dict[tuple[int, int], int] = {}
+        out: dict[int, int] = {}
+        for k, c in self._t.items():
+            exps = [(s, image, e) for s, image in maps if (e := _field(k, s))]
+            key = k - sum(e << s for s, _, e in exps)  # the fixed variables' part
+            for s, image, e in exps:
+                if (s, e) not in pw:
+                    pw[s, e] = _key_pow(image, e)
+                key = _key_mul(key, pw[s, e])
+            out[key] = out.get(key, 0) + c
+        out = {k: c for k, c in out.items() if c}
+        if len(out) > _term_limit():
+            raise TermLimitExceeded(f"{len(out)} terms in a substitution")
+        return _poly(out)
 
     # -- display / io ------------------------------------------------------
 
@@ -967,9 +962,6 @@ class RatFunc:
             return RatFunc(dn, LaurentPoly.one())
         dd = self.den.derivative(v)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
-
-    def substitute(self, values: Mapping[int, "RatFunc"]) -> "RatFunc":
-        return self.num.substitute(values) / self.den.substitute(values)
 
     # -- display / io ------------------------------------------------------
 

@@ -177,7 +177,7 @@ def cmd_verify(args) -> int:
         params["Ns"] = (args.N,)
     if args.delta is not None:
         params["delta"] = parse_fraction(args.delta)
-    if args.rng_seed is not None and args.suite not in ("lv", "tau", "liouville"):
+    if args.rng_seed is not None:
         params["rng_seed"] = args.rng_seed
     try:
         bind_suite(args.suite, **params)
@@ -315,7 +315,7 @@ def main(argv=None) -> int:
     except (TermLimitExceeded, ExponentOverflow) as e:
         print(f"limit exceeded: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -36,6 +36,7 @@ from .algebra import (
     LaurentPoly,
     Mono,
     RatFunc,
+    _field,
     _key_div,
     _key_min,
     _key_mul,
@@ -89,11 +90,16 @@ def _divides(d: list[int], s: list[int]) -> bool:
     return len(s) > n and not any(r[:n])
 
 
-def _images(sides, p: LaurentPoly) -> tuple[list[int], list[int]]:
-    """The dense images of the pending sum and of p in p's widest variable."""
-    lo, hi = p._range()
-    shift = _SLOT[max(span := dict(_unpack(hi - lo)), key=span.get)]  # least variable on ties
-    return _sum_image(sides, shift), _dense(p._image(shift))
+def _base_image(p: LaurentPoly) -> tuple[int, list[int]]:
+    """The bit offset of p's widest variable v (the least on ties) and p's
+    dense image in v, derived once and cached with p's images."""
+    img = p._img = p._img or {}
+    if None not in img:
+        lo, hi = p._range()
+        span = dict(_unpack(hi - lo))
+        shift = _SLOT[max(span, key=span.get)]
+        img[None] = shift, _dense(p._image(shift))
+    return img[None]
 
 
 def _sum_image(sides, shift: int) -> list[int]:
@@ -101,11 +107,13 @@ def _sum_image(sides, shift: int) -> list[int]:
     if shift not in sides[2]:
         total: dict[int, int] = {}
         for coeff, key, factors in sides[:2]:
-            img = _poly({key: coeff})._image(shift)
+            e = _field(key, shift)  # coeff x**key as LaurentPoly._image maps it
+            img = {e: coeff * pow(3, (key - (e << shift)) % (P - 1), P) % P}
             for q, n in factors.items():
+                qi = q._image(shift)
                 for _ in range(n):
                     prod: dict[int, int] = {}
-                    for (i, x), (j, y) in product(img.items(), q._image(shift).items()):
+                    for (i, x), (j, y) in product(img.items(), qi.items()):
                         prod[i + j] = (prod.get(i + j, 0) + x * y) % P
                     img = prod
             total = {e: c for e in {*total, *img} if (c := (total.get(e, 0) + img.get(e, 0)) % P)}
@@ -116,7 +124,8 @@ def _sum_image(sides, shift: int) -> list[int]:
 def _is_new(sides, powers: Mapping[LaurentPoly, int]) -> bool:
     """Whether images prove that the pending sum's base is not in powers."""
     for p in powers:
-        s, d = _images(sides, p)
+        shift, d = _base_image(p)
+        s = _sum_image(sides, shift)
         if not s or len(d) == len(s) and _divides(d, s):
             return False
     return True
@@ -140,8 +149,16 @@ def _divide(sides, d: LaurentPoly) -> bool | None:
                     sides[2].clear()
                     return True
             break
-    s, dd = _images(sides, d)  # a zero image proves nothing: P may divide the unit
+    shift, dd = _base_image(d)
+    s = _sum_image(sides, shift)  # a zero image proves nothing: P may divide the unit
     return None if not s or dd and _divides(dd, s) else False
+
+
+def _bump(powers: dict[LaurentPoly, int], p: LaurentPoly) -> None:
+    """Multiply the product of powers by p."""
+    powers[p] = powers.get(p, 0) + 1
+    if not powers[p]:
+        del powers[p]
 
 
 class Factored:
@@ -282,39 +299,40 @@ class Factored:
         # this is where the Laurent phenomenon keeps factored forms small.
         # A divisor that failed is never tried again: if d does not divide
         # the base B, it does not divide B/p (up to the unit _split takes
-        # out) either, or it would divide (B/p)*p = B.  A decision that needs
-        # the sum expanded sees the same base, so its answer is the same.
+        # out) either, or it would divide (B/p)*p = B.  Both phases divide
+        # the same base, so a failure in the first holds in the second.
         failed: set[LaurentPoly] = set()
-        undecided = False
+        # phase 1: decide on X + Y, until a divisor is undecided, every
+        # candidate has failed, or images cannot show the base is new
         while True:
             cands = [p for p, e in powers.items() if e < 0 and p not in failed]
-            if sides and (undecided or not cands or not _is_new(sides, powers)):
-                s = _expand(*sides[0]) + _expand(*sides[1])
-                if s.is_zero():
-                    return Factored.zero()
-                c, shift, base = _split(s)
-                m, sides = _key_mul(cm, shift), None
-            if not sides and (base is None or base in powers or not cands):
-                if base is not None:
-                    powers[base] = powers.get(base, 0) + 1
-                    if not powers[base]:
-                        del powers[base]
+            if not cands or not _is_new(sides, powers):
                 break
             for p in cands:
-                if sides:
-                    if undecided := (ok := _divide(sides, p)) is None:
-                        break
-                else:
-                    ok = (q := try_exact_div(base, p)) is not None
-                    if ok:
-                        cq, sq, base = _split(q)
-                        c, m = c * cq, _key_mul(m, sq)
-                if ok:
-                    powers[p] += 1
-                    if not powers[p]:
-                        del powers[p]
+                if (ok := _divide(sides, p)) is not False:
                     break
                 failed.add(p)
+            if not ok:
+                break
+            _bump(powers, p)
+        s = _expand(*sides[0]) + _expand(*sides[1])
+        if s.is_zero():
+            return Factored.zero()
+        c, shift, base = _split(s)
+        m = _key_mul(cm, shift)
+        # phase 2: divide the expanded base exactly
+        while base is not None and base not in powers:
+            for p in [p for p, e in powers.items() if e < 0 and p not in failed]:
+                if (q := try_exact_div(base, p)) is not None:
+                    cq, sq, base = _split(q)
+                    c, m = c * cq, _key_mul(m, sq)
+                    _bump(powers, p)
+                    break
+                failed.add(p)
+            else:
+                break
+        if base is not None:
+            _bump(powers, base)
         return Factored(Fraction(c, den), m, powers)
 
     def __sub__(self, other: "Factored") -> "Factored":

@@ -556,37 +556,26 @@ class ExtendedPoisson:
 
 
 def assemble_extended(
-    B: ExchangeMatrix,
-    c_x: Fraction,
-    c_y: Fraction,
-    Px: PoissonMatrix | None = None,
+    B: ExchangeMatrix, c_x: Fraction, c_y: Fraction, Px: PoissonMatrix
 ) -> ExtendedPoisson:
-    """Extended structure with Px solving Px B = c_x D (or any given PB = O
+    """Extended structure from a given Px with Px B = c_x D (any PB = O
     solution when B is singular and c_x = 0)."""
     c_x = Fraction(c_x)
-    if Px is None:
-        Px = solve_poisson(B, c_x)
-    else:
-        got = compatibility_constant(Px, B)
-        if got != c_x:
-            raise ValueError(f"Px B = {got} D but c_x = {c_x}")
+    got = compatibility_constant(Px, B)
+    if got != c_x:
+        raise ValueError(f"Px B = {got} D but c_x = {c_x}")
     return ExtendedPoisson(Px=Px, B=B, c_y=Fraction(c_y))
 
 
 @dataclass(frozen=True)
 class TwoForm:
     W: linalg.Matrix  # log-coordinate coefficients
-    extended: linalg.Matrix | None = None
+    extended: linalg.Matrix
 
 
-def two_form(
-    B: ExchangeMatrix,
-    c_x: Fraction,
-    c_y: Fraction | None = None,
-    P: PoissonMatrix | None = None,
-) -> TwoForm:
-    """W = B D^{-1}; with c_y given, also the extended block form
-    [[BD^-1, -D^-1], [D^-1, c_y^-1 D^-1 P D^-1]]."""
+def two_form(B: ExchangeMatrix, c_x: Fraction, c_y: Fraction, P: PoissonMatrix) -> TwoForm:
+    """W = B D^{-1} and the extended block form
+    [[BD^-1, -D^-1], [D^-1, c_y^-1 D^-1 P D^-1]], for P with PB = c_x D."""
     d = B.symmetrizer()
     idx = B.indices
     n = B.n
@@ -594,15 +583,11 @@ def two_form(
     for a, i in enumerate(idx):
         dinv[a][a] = Fraction(1, d[i])
     W = linalg.mat_mul(B.to_dense(), dinv)
-    if c_y is None:
-        return TwoForm(W=W)
     c_y = Fraction(c_y)
     if c_y == 0:
         raise ValueError("extended 2-form needs c_y != 0")
     if Fraction(c_x) + c_y == 0:
         raise ValueError("extended 2-form needs c_x + c_y != 0")
-    if P is None:
-        P = solve_poisson(B, c_x)
     pdd = linalg.mat_scale(
         linalg.mat_mul(dinv, linalg.mat_mul(P.to_dense(), dinv)), Fraction(1) / c_y
     )

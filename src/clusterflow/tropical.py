@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    MONO_ONE,
     LaurentPoly,
     RatFunc,
     SemifieldTag,
@@ -163,10 +164,11 @@ def f_polynomials(
     """
     _warn_if_not_skew_symmetric(matrix)
     seed = apply_word(Seed.initial(matrix, SemifieldTag.TROPICAL), word)
-    ones = {xvar(j): RatFunc.one() for j in matrix.indices}
+    ones = {xvar(j): MONO_ONE for j in matrix.indices}
     out: dict[int, LaurentPoly] = {}
     for i in matrix.indices:
-        f = seed.x[i].expand().substitute(ones)
+        x = seed.x[i].expand()
+        f = RatFunc(x.num.substitute(ones), x.den.substitute(ones))
         if not f.den.is_one():
             raise PolynomialityError(
                 f"F-candidate at index {i} after word {tuple(word)} is not polynomial"
@@ -238,18 +240,11 @@ def separation_check(
     direct = apply_word(Seed.initial(matrix, SemifieldTag.UNIVERSAL), word)
 
     yhat = {
-        i: RatFunc.from_poly(
-            LaurentPoly.monomial(
-                mono({yvar(i): 1, **{xvar(j): b for j, b in matrix.column(i).items()}})
-            )
-        )
+        yvar(i): mono({yvar(i): 1, **{xvar(j): b for j, b in matrix.column(i).items()}})
         for i in idx
     }
     f_at_y = {i: Factored.from_poly(f[i]) for i in idx}
-    f_at_yhat = {
-        i: Factored.from_poly(f[i].substitute({yvar(j): yhat[j] for j in idx}).num)
-        for i in idx
-    }
+    f_at_yhat = {i: Factored.from_poly(f[i].substitute(yhat)) for i in idx}
 
     y_match: dict[int, bool] = {}
     x_match: dict[int, bool] = {}

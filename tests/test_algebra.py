@@ -20,6 +20,7 @@ from clusterflow.algebra import (
     parse_fraction,
     poly_gcd,
     try_exact_div,
+    xvar,
 )
 
 
@@ -245,6 +246,22 @@ def test_exponent_overflow_is_an_error():
     assert (big * x(0, -1)) == x(0, EXP_LIMIT - 2)
 
 
+def test_substitution_keeps_the_exponent_range_and_term_cap(monkeypatch):
+    from clusterflow.algebra import EXP_LIMIT, ExponentOverflow, TermLimitExceeded
+
+    half = EXP_LIMIT // 2
+    p = x(0, 2) + x(1)
+    assert p.substitute({0: mono({1: half - 1})}) == x(1, 2 * half - 2) + x(1)
+    with pytest.raises(ExponentOverflow):
+        p.substitute({0: mono({1: half})})
+    with pytest.raises(ExponentOverflow):
+        (x(0) * x(1, EXP_LIMIT - 1)).substitute({0: mono({1: 1})})
+    n = sum((x(i) for i in range(6)), LaurentPoly.zero())
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "5")
+    with pytest.raises(TermLimitExceeded, match=r"^6 terms in a substitution"):
+        n.substitute({0: mono({0: -1})})
+
+
 # poly_gcd's work depends only on the polynomials and the order of the
 # variable ids: neither the order the terms were inserted in nor the order the
 # variables were registered in may change the recursion
@@ -333,3 +350,28 @@ def test_gcd_of_a_draw_that_swelled_the_prs():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
     assert d == v[2]
+
+
+def test_divisor_failed_on_images_is_not_tried_on_the_expanded_sum(monkeypatch):
+    # (1 + x1)/(B A) + x0 (2 + x0 + x1)/(B A) with B = 1 + x2, A = 1 + x0:
+    # images reject B, leave A undecided and so expand the sum; the exact
+    # division of the expanded sum tries A and never B again
+    from clusterflow import factored
+
+    x0, x1, x2 = (Factored.variable(xvar(i)) for i in range(3))
+    one = Factored.one()
+    den = ((one + x2) * (one + x0)) ** -1
+    calls = []
+    divide = factored.try_exact_div
+
+    def recording(n, d):
+        q = divide(n, d)
+        calls.append((len(n.terms), d, q is not None))
+        return q
+
+    with monkeypatch.context() as m:
+        m.setattr(factored, "try_exact_div", recording)
+        total = (one + x1) * den + x0 * (one + one + x0 + x1) * den
+    a = (one + x0).expand().num
+    assert calls == [(5, a, True)]
+    assert total == (one + x0 + x1) / (one + x2)

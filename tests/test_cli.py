@@ -8,6 +8,7 @@ import pytest
 
 from clusterflow import cli, verify
 from clusterflow.cli import main
+from clusterflow.matrices import named_matrix
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +65,21 @@ class TestMutateCommand:
         code, _ = run_cli(capsys, "mutate", "--matrix", "lv", "--word", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("somos4", ["--word", "1,2", "--semifield", "universal"]),
+            ("lv", ["--window=-9..9", "--word", "bar0,bar1", "--semifield", "tropical"]),
+        ],
+    )
+    def test_matrix_file_matches_the_named_matrix(self, tmp_path, capsys, name, argv):
+        # a finite and a periodic banded matrix, written out with to_json
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(named_matrix(name).to_json()))
+        code, from_file = run_cli(capsys, "mutate", "--matrix", str(path), *argv)
+        assert code == 0
+        assert from_file == run_cli(capsys, "mutate", "--matrix", name, *argv)[1]
+
 
 class TestPoissonCommand:
     def test_somos_solve(self, capsys):
@@ -99,6 +115,14 @@ class TestVerifyCommand:
         assert code == 0
         records = json.loads(out)
         assert records and all(r["ok"] for r in records)
+
+    def test_csv_report_matches_the_json_records(self, capsys):
+        code, out = run_cli(capsys, "verify", "liouville", "--N", "4", "--format", "csv")
+        assert code == 0
+        records = json.loads(run_cli(capsys, "verify", "liouville", "--N", "4")[1])
+        assert out.splitlines() == ["relation,site,residual_zero"] + [
+            f'{r["suite"]}/{r["check"]},,{r["ok"]}' for r in records
+        ]
 
     def test_unknown_suite_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "verify", "bogus")
@@ -146,6 +170,25 @@ class TestVerifyCommand:
         assert not seen
         with pytest.raises(TypeError):
             verify.run_suite("all", bogus=1)
+
+    @pytest.mark.parametrize("suite", ["lv", "tau", "liouville"])
+    def test_rng_seed_on_a_suite_without_one_is_bad_input(self, monkeypatch, capsys, suite):
+        seen = self._record_calls(monkeypatch)
+        code = main(["verify", suite, "--rng-seed", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: parameters do not apply to suite {suite!r}"
+        )
+        assert not seen
+
+    def test_key_error_inside_a_suite_is_internal(self, monkeypatch, capsys):
+        def broken(rng_seed: int = 0):
+            raise KeyError("internal")
+
+        monkeypatch.setitem(verify.SUITES, "seeds", broken)
+        code = main(["verify", "seeds"])
+        assert code == 4
+        assert capsys.readouterr().err == "internal error: KeyError: 'internal'\n"
 
     def test_type_error_inside_a_suite_is_internal(self, monkeypatch, capsys):
         def broken(rng_seed: int = 0):

@@ -215,3 +215,22 @@ def test_ratfunc_of_pair_with_den_content_matches_sympy(q, pp, k, m):
     check_canonical_form(r, to_sympy(num) / to_sympy(den))
     assert r.den.is_constant()
     assert not calls
+
+
+# few variables, so that images often hold variables that are substituted too
+images = st.dictionaries(
+    st.sampled_from(VARS[2:5]),
+    st.dictionaries(st.sampled_from(VARS[1:5]), st.integers(-2, 2), max_size=3).map(mono),
+    max_size=3,
+)
+
+
+@given(laurent, images)
+@settings(max_examples=60, deadline=None)
+def test_substitute_matches_sympy_subs(p, values):
+    # the map is simultaneous: x0 -> x1, x1 -> x0 swaps the two
+    subs = {
+        SYMBOLS[v]: sympy.Mul(*(SYMBOLS[w] ** e for w, e in m)) for v, m in values.items()
+    }
+    want = to_sympy(p).subs(subs, simultaneous=True)
+    assert sympy.expand(to_sympy(p.substitute(values)) - want) == 0
