@@ -445,6 +445,7 @@ class LaurentPoly:
             return self
         cap = _term_limit()
         out = dict(self._t)
+        cancelled = False
         for k, c in other._t.items():
             prev = out.get(k)
             if prev is None:
@@ -457,7 +458,13 @@ class LaurentPoly:
                     out[k] = nc
                 else:
                     del out[k]
-        return _poly(out)
+                    cancelled = True
+        if cancelled or self._lo is None or other._lo is None:
+            return _poly(out)
+        # the keys are the union of both operands', so the range is theirs;
+        # a + b - min(a, b) is the per-variable maximum
+        a, b = self._hi, other._hi
+        return _poly(out, _key_min(self._lo, other._lo), a + b - _key_min(a, b))
 
     def __neg__(self) -> "LaurentPoly":
         return _poly({k: -c for k, c in self._t.items()}, self._lo, self._hi)
@@ -535,30 +542,47 @@ class LaurentPoly:
         return self._t == other._t
 
     def __hash__(self):
+        """A hash of invariants: the term count and the exact exponent
+        range, which equal polynomials share.  It reads no coefficient, so a
+        new base is hashed without a pass over its terms."""
         if self._hash is None:
-            self._hash = hash(frozenset(self._t.items()))
+            self._hash = hash((len(self._t), *self._range())) if self._t else 0
         return self._hash
 
     def _image(self, shift: int) -> dict[int, int]:
         """The image mod IMAGE_PRIME, {v-exponent: coefficient}, that keeps
         the variable v at bit offset shift and sends the one at offset s to
         3**(2**s), so the term k v**e goes to 3**(k - (e << shift)) v**e.
-        Images are cached in _img by shift; `factored` keeps a base's widest
-        image there under None."""
-        self._img = self._img or {}
-        out = self._img.get(shift)
+        Each term's value c * 3**k is computed once per polynomial and kept
+        in _img under "terms"; an image groups those values by e and takes
+        group e times 3**(-e << shift).  Images are cached in _img by shift;
+        `factored` keeps a base's widest image there under None."""
+        img = self._img = self._img or {}
+        out = img.get(shift)
         if out is None:
             out, bias, P = {}, _BIAS, IMAGE_PRIME
-            if not _POW3:  # so that pow(3, x, P) takes one entry per byte of x
-                _POW3[:] = ([pow(g, b, P) for b in range(256)]
-                            for g in (pow(3, 256**j, P) for j in range(8)))
-            for k, c in self._t.items():
-                e = (((k + bias) >> shift) & _FILL) - EXP_LIMIT
-                x = (k - (e << shift)) % (P - 1)
-                for t in _POW3:
-                    c, x = c * t[x & 255] % P, x >> 8
-                out[e] = out.get(e, 0) + c
-            out = self._img[shift] = {e: c % P for e, c in out.items() if c % P}
+            get = out.get
+            vals = img.get("terms")
+            if vals is None:  # evaluate and group in one pass
+                if not _POW3:  # so that pow(3, x, P) takes one entry per byte of x
+                    _POW3[:] = ([pow(g, b, P) for b in range(256)]
+                                for g in (pow(3, 256**j, P) for j in range(8)))
+                vals = img["terms"] = []
+                for k, c in self._t.items():
+                    x = k % (P - 1)
+                    for t in _POW3:
+                        c, x = c * t[x & 255] % P, x >> 8
+                    vals.append(c)
+                    e = (((k + bias) >> shift) & _FILL) - EXP_LIMIT
+                    out[e] = get(e, 0) + c
+            else:
+                for k, c in zip(self._t, vals):
+                    e = (((k + bias) >> shift) & _FILL) - EXP_LIMIT
+                    out[e] = get(e, 0) + c
+            out = img[shift] = {
+                e: c * pow(3, (-e << shift) % (P - 1), P) % P
+                for e, c in out.items() if c % P
+            }
         return out
 
     # -- calculus ----------------------------------------------------------

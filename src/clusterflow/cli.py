@@ -80,7 +80,8 @@ def _parse_word(text: str, matrix: ExchangeMatrix, windowed: bool) -> list:
     Numeric tokens name matrix positions 1-based for finite named matrices
     (so `--word 1` mutates the first index) and raw indices for windowed
     matrices.  Tokens bar0/bar1/bar2 are the composite mutations of a full
-    residue class mod 3 (windowed matrices only).
+    residue class mod 3 (windowed matrices only); any other barC is bad
+    input.
     """
     steps = []
     for tok in text.split(","):
@@ -91,9 +92,11 @@ def _parse_word(text: str, matrix: ExchangeMatrix, windowed: bool) -> list:
             if not windowed:
                 raise BadInput("barC words only apply to windowed matrices")
             try:
-                c = int(tok[3:]) % 3
+                c = int(tok[3:])
             except ValueError as e:
                 raise BadInput(f"bad composite token {tok!r}") from e
+            if c not in (0, 1, 2):
+                raise BadInput(f"composite token {tok!r} names no residue class 0..2")
             steps.append(("bar", c))
             continue
         try:
@@ -148,7 +151,7 @@ def cmd_mutate(args) -> int:
         if kind == "one":
             seed = mutate_seed(seed, v)
         else:
-            ks = [i for i in seed.matrix.indices if i % 3 == v % 3]
+            ks = [i for i in seed.matrix.indices if i % 3 == v]
             seed = mutate_many(seed, ks)
     _emit(args, json.dumps(_seed_json(seed), indent=2, sort_keys=True))
     return 0

@@ -101,24 +101,33 @@ class ExchangeMatrix:
         """Matrix mutation at index k."""
         if k not in self._pos:
             raise KeyError(f"index {k} not in matrix")
-        new: dict[tuple[int, int], int] = {}
+        data = self.data
         col_k = self.column(k)
         row_k = self.row(k)
-        touched = set(self.data)
-        for i in col_k:
-            for j in row_k:
-                touched.add((i, j))
-        for (i, j) in touched:
-            v = self.data.get((i, j), 0)
-            if i == k or j == k:
-                nv = -v
-            else:
-                bik = col_k.get(i, 0)
-                bkj = row_k.get(j, 0)
-                nv = v + (abs(bik) * bkj + bik * abs(bkj)) // 2
-            if nv:
-                new[(i, j)] = nv
-        return ExchangeMatrix(self.indices, new, check=False)
+        new = dict(data)
+        for i, v in col_k.items():
+            new[i, k] = -v
+        for j, v in row_k.items():
+            new[k, j] = -v
+        # the entries keep the order of a set of the old ones and of
+        # col_k x row_k: mutate_seed forms its exchange products in column
+        # order, and that order decides which trial divisions a sum tries
+        order = set(data)
+        for i, bik in col_k.items():
+            for j, bkj in row_k.items():
+                order.add((i, j))
+                # b_ij gains (|b_ik| b_kj + b_ik |b_kj|) / 2: b_ik b_kj when
+                # both are positive, -b_ik b_kj when both are negative
+                if i != k and j != k and (bik > 0) == (bkj > 0):
+                    nv = data.get((i, j), 0) + (bik * bkj if bik > 0 else -bik * bkj)
+                    if nv:
+                        new[i, j] = nv
+                    else:
+                        del new[i, j]
+        out = object.__new__(ExchangeMatrix)
+        out.indices, out._pos = self.indices, self._pos
+        out.data = {ij: new[ij] for ij in order if ij in new}
+        return out
 
     # -- symmetrizer -------------------------------------------------------
 

@@ -90,7 +90,7 @@ def bounded_word(
         rng.shuffle(cands)
         for k in cands:
             nb = b.mutate(k)
-            if max(abs(int(e)) for row in nb.to_dense() for e in row) <= entry_cap:
+            if max(map(abs, nb.data.values()), default=0) <= entry_cap:
                 word.append(k)
                 b = nb
                 last = k
@@ -130,14 +130,15 @@ def seed_suite(rng_seed: int = 0) -> list[dict]:
             for k in word:
                 if _too_large(v for i in B.indices for v in (seed.x[i], seed.y[i])):
                     break
-                back = mutate_seed(mutate_seed(seed, k), k)
+                step = mutate_seed(seed, k)
+                back = mutate_seed(step, k)
                 if not (
                     back.matrix == seed.matrix
                     and all(back.x[i] == seed.x[i] for i in B.indices)
                     and all(back.y[i] == seed.y[i] for i in B.indices)
                 ):
                     yield {"trial": trial, "matrix": B.to_json(), "k": k}
-                seed = mutate_seed(seed, k)
+                seed = step
 
     def laurent():
         for trial in range(10):

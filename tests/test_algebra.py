@@ -4,7 +4,7 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clusterflow import algebra
@@ -375,3 +375,74 @@ def test_divisor_failed_on_images_is_not_tried_on_the_expanded_sum(monkeypatch):
     a = (one + x0).expand().num
     assert calls == [(5, a, True)]
     assert total == (one + x0 + x1) / (one + x2)
+
+
+# exponents at both ends of the packed range, so a per-field max or min
+# that borrowed across fields would show
+edge_exp = st.sampled_from(
+    (-algebra.EXP_LIMIT, -algebra.EXP_LIMIT + 1, -1, 1, 2, algebra.EXP_LIMIT - 2, algebra.EXP_LIMIT - 1)
+)
+edge_poly = st.lists(
+    st.tuples(
+        st.integers(-3, 3).filter(bool),
+        st.dictionaries(st.integers(0, 3), edge_exp, max_size=4),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda terms: LaurentPoly({mono(m): co for co, m in terms}))
+
+
+_LOWEST = x(0, -algebra.EXP_LIMIT)
+_HIGHEST = x(1, algebra.EXP_LIMIT - 1)
+
+
+@given(edge_poly, edge_poly, st.booleans())
+@example(_LOWEST * (c(1) + x(1)), _LOWEST * x(1, 2), False)  # x0's maximum is -EXP_LIMIT
+@example(_HIGHEST * (c(1) + x(0)), _HIGHEST * x(0, -3), False)  # x1's minimum is EXP_LIMIT - 1
+@settings(max_examples=150, deadline=None)
+def test_a_sum_carries_the_range_of_its_terms(a, b, cancel):
+    if cancel:
+        b = b - a  # every term of a that b lacks cancels in a + b
+    for p in (a, b):
+        if not p.is_zero():
+            p._range()
+    s = a + b
+    if s.is_zero():
+        return
+    cancelled = any(b._t.get(k, 0) == -v for k, v in a._t.items())
+    assert (s._lo is None) == cancelled  # carried unless a term cancelled
+    assert s._range() == algebra._key_range(s._t)
+
+
+def test_hash_agrees_with_equality_however_a_polynomial_is_built():
+    # p = (x0 + x1^-1)(x0 x1 - 2) = x0^2 x1 - x0 - 2 x1^-1
+    built = LaurentPoly({((0, 2), (1, 1)): 1, ((0, 1),): -1, ((1, -1),): -2})
+    product = (x(0) + x(1, -1)) * (x(0) * x(1) - c(2))
+    total = (x(0, 2) * x(1) + x(3)) + (c(-1) * x(0) + c(-2) * x(1, -1) - x(3))
+    quotient = LaurentPoly({((0, 1),): 1, ((1, -1),): -1, ((0, -1), (1, -2)): -2})
+    shifted = quotient._shifted(algebra._pack(mono({0: 1, 1: 1})))
+    forms = [built, product, total, shifted]
+    assert all(p == built for p in forms)
+    assert len({hash(p) for p in forms}) == 1
+    assert {built: "p"}[shifted] == "p"
+    assert hash(LaurentPoly.zero()) == 0
+
+
+def _image_per_term(p: LaurentPoly, shift: int) -> dict[int, int]:
+    """p's image in the variable at shift, term by term: k v**e goes to
+    c * 3**(k - (e << shift)) mod P."""
+    P = algebra.IMAGE_PRIME
+    out: dict[int, int] = {}
+    for k, co in p._t.items():
+        e = algebra._field(k, shift)
+        out[e] = (out.get(e, 0) + co * pow(3, (k - (e << shift)) % (P - 1), P)) % P
+    return {e: v for e, v in out.items() if v}
+
+
+@given(small_poly, st.permutations(range(5)), st.sampled_from((1, 7 * algebra.IMAGE_PRIME)))
+@settings(max_examples=80, deadline=None)
+def test_every_image_is_the_per_term_image(p, order, unit):
+    p = p.scale(unit) + x(4, -1) if unit != 1 else p * x(4, -1)
+    for v in order:  # the first image evaluates the terms, the rest reuse them
+        shift = algebra._SLOT[v]
+        assert p._image(shift) == _image_per_term(p, shift)

@@ -61,6 +61,14 @@ class TestMutateCommand:
         code, _ = run_cli(capsys, "mutate", "--matrix", "a2", "--word", "3")
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["bar5", "bar-1", "bar3"])
+    def test_composite_outside_the_residue_classes_is_bad_input(self, capsys, token):
+        code = main(["mutate", "--matrix", "lv", "--window=-3..3", "--word", token])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{token!r} names no residue class 0..2" in captured.err
+
     def test_infinite_matrix_needs_window(self, capsys):
         code, _ = run_cli(capsys, "mutate", "--matrix", "lv", "--word", "1")
         assert code == 2

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from clusterflow import linalg
 from clusterflow.matrices import (
     ExchangeMatrix,
@@ -50,6 +53,64 @@ class TestPeriodicBanded:
     def test_periodic_closure_is_skew(self):
         for m in (3, 4):
             assert linalg.is_skew(lv_periodic_matrix(m).to_dense())
+
+
+def rebuilt(B: ExchangeMatrix, k: int) -> dict:
+    """The mutation rule on every entry, rebuilt in full: b_ij negated in
+    row and column k, else plus (|b_ik| b_kj + b_ik |b_kj|) / 2.  The
+    entries come in the order of a set of the old ones and of col_k x row_k,
+    which `mutate` keeps (the order exchange products are formed in)."""
+    col_k, row_k = B.column(k), B.row(k)
+    touched = set(B.data)
+    touched.update((i, j) for i in col_k for j in row_k)
+    new = {}
+    for i, j in touched:
+        v = B.entry(i, j)
+        if k in (i, j):
+            v = -v
+        else:
+            bik, bkj = col_k.get(i, 0), row_k.get(j, 0)
+            v += (abs(bik) * bkj + bik * abs(bkj)) // 2
+        if v:
+            new[i, j] = v
+    return new
+
+
+@st.composite
+def skew_symmetrizable(draw):
+    """D B skew-symmetric for D = diag(d): b_ij = s_ij d_j, b_ji = -s_ij d_i."""
+    n = draw(st.integers(2, 6))
+    idx = sorted(draw(st.sets(st.integers(-9, 9), min_size=n, max_size=n)))
+    d = [draw(st.integers(1, 2)) for _ in idx]
+    entries = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            s = draw(st.integers(-2, 2))
+            entries[idx[a], idx[b]] = s * d[b]
+            entries[idx[b], idx[a]] = -s * d[a]
+    return ExchangeMatrix(idx, entries)
+
+
+@given(skew_symmetrizable(), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_mutation_changes_only_what_the_rule_changes(B, picks):
+    for pick in picks:
+        k = B.indices[pick % B.n]
+        M = B.mutate(k)
+        want = rebuilt(B, k)
+        assert list(M.data.items()) == list(want.items())
+        assert ExchangeMatrix(M.indices, M.data, check=True) == M
+        assert M.mutate(k) == B
+        B = M
+
+
+def test_lv_window_mutation_follows_the_rule():
+    W = lv_matrix().window(-12, 14)
+    for k in (0, 1, 2, -12, 14, 0):
+        M = W.mutate(k)
+        assert list(M.data.items()) == list(rebuilt(W, k).items())
+        assert M.mutate(k) == W
+        W = M
 
 
 class TestLiouvilleMatrices:

@@ -51,7 +51,7 @@ def raise_disagreement(_):
 
 
 def test_wrong_x_after_a_mutation(monkeypatch):
-    corrupt(monkeypatch, verify, "mutate_seed", {5}, doubled_first_x)
+    corrupt(monkeypatch, verify, "mutate_seed", {4}, doubled_first_x)
     assert verify.seed_suite() == [
         {
             "suite": "seeds",
