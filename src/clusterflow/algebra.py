@@ -108,6 +108,9 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 # packed exponent vectors", CASC 2007).  Every operation that creates new
 # exponents checks the bounds it knows and raises ExponentOverflow instead of
 # letting a field spill into its neighbour.
+#
+# A key is as wide as its highest field, so a large product works on compact
+# codes of its exponent box instead (see "Compact product keys" below).
 
 FIELD_BITS = 16
 EXP_LIMIT = 1 << (FIELD_BITS - 2)
@@ -281,6 +284,68 @@ def _tuple_first(keys: Mapping[int, object]) -> int:
             if not k & ~done:
                 return k  # a prefix of every other candidate
     return cands[0]
+
+
+# ---------------------------------------------------------------------------
+# Compact product keys
+# ---------------------------------------------------------------------------
+#
+# A packed key is as wide as its highest field.  The variables of a lattice
+# run are registered as the run reaches them, so once the registry holds 132
+# variables its keys are over 1,000 bits, and each term product adds and
+# hashes a 35-digit int.  Every exponent of a product lies in its box
+# [lo, hi], known exactly from the operands' ranges.  A product of at least
+# COMPACT_MIN_PRODUCTS term products whose box has at most 2**COMPACT_BITS
+# points therefore runs on mixed-radix codes of the exponents in the box:
+# ints of one or two 30-bit CPython digits, which add and hash in constant
+# time.  Below that size the encoding costs more than it saves.
+COMPACT_MIN_PRODUCTS = 4096
+COMPACT_BITS = 60
+
+
+def _mul_compact(a: dict[int, int], b: dict[int, int], a_lo: int, b_lo: int,
+                 span: int, cap: int) -> dict[int, int] | None:
+    """The term dict of the product of a and b, computed by the dict loop of
+    `LaurentPoly.__mul__` on compact keys, or None when the box does not fit.
+
+    span is the product's box, hi - lo.  Each field that varies in it gets a
+    mixed-radix digit of radix span + 1, and each operand's keys are coded
+    relative to that operand's own minimum, so the code of a product is the
+    sum of the codes and no digit carries.  The loop visits the pairs in the
+    same order, with the same insertions, deletions and term-cap check, so
+    the result and its order are those of the dict loop.  Each output code
+    is decoded once, from the row that inserted it."""
+    digits: list[tuple[int, int]] = []  # (bit offset, weight) of each varying field
+    w = 1
+    for i, s in enumerate(_fields(span)):
+        if s:
+            digits.append((FIELD_BITS * i, w))
+            w *= s + 1
+    if w > 1 << COMPACT_BITS:
+        return None
+    ca = [sum(((k - a_lo) >> s & _FILL) * d for s, d in digits) for k in a]
+    cb = [sum(((k - b_lo) >> s & _FILL) * d for s, d in digits) for k in b]
+    rows = list(zip(cb, b.values()))
+    out: dict[int, int] = {}
+    first: dict[int, int] = {}  # code -> the row code that inserted it
+    get = out.get
+    for l1, c1 in zip(ca, a.values()):
+        for l2, c2 in rows:
+            k = l1 + l2
+            prev = get(k)
+            if prev is None:
+                out[k] = c1 * c2
+                first[k] = l1
+                if len(out) > cap:
+                    raise TermLimitExceeded(f"{len(out)} terms in a product")
+            else:
+                nc = prev + c1 * c2
+                if nc:
+                    out[k] = nc
+                else:
+                    del out[k]
+    ka, kb = dict(zip(ca, a)), dict(zip(cb, b))
+    return {ka[l1] + kb[k - l1]: c for k, c in out.items() for l1 in (first[k],)}
 
 
 def _integer(c) -> int:
@@ -478,10 +543,20 @@ class LaurentPoly:
         a_lo, a_hi = self._range()
         b_lo, b_hi = other._range()
         lo, hi = _key_mul(a_lo, b_lo), _key_mul(a_hi, b_hi)
-        a, b = self._t, other._t
-        if len(a) > len(b):
-            a, b = b, a
+        p, q = (self, other) if len(self._t) <= len(other._t) else (other, self)
+        a, b = p._t, q._t
         cap = _term_limit()
+        if len(a) == 1:  # a shift and scale; distinct keys stay distinct
+            if len(b) > cap:
+                raise TermLimitExceeded(f"{cap + 1} terms in a product")
+            ((k1, c1),) = a.items()
+            if not k1 and c1 == 1:
+                return q
+            return _poly({k1 + k2: c1 * c2 for k2, c2 in b.items()}, lo, hi)
+        if len(a) * len(b) >= COMPACT_MIN_PRODUCTS:
+            t = _mul_compact(a, b, p._lo, q._lo, hi - lo, cap)
+            if t is not None:
+                return _poly(t, lo, hi)
         out: dict[int, int] = {}
         get = out.get
         for k1, c1 in a.items():
@@ -527,6 +602,8 @@ class LaurentPoly:
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial; use RatFunc")
+        if n == 1:
+            return self
         result = LaurentPoly.one()
         base = self
         while n:

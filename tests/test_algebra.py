@@ -194,6 +194,130 @@ def test_term_limit_read_once_per_product(monkeypatch):
     assert len(reads) == 2
 
 
+def _compact_spy(monkeypatch) -> list:
+    """Records, for each call of the compact product helper, whether it ran
+    the product (True), fell back to the dict loop (False) or raised (None)."""
+    ran = []
+    helper = algebra._mul_compact
+
+    def spy(*args):
+        ran.append(None)
+        out = helper(*args)
+        ran[-1] = out is not None
+        return out
+
+    monkeypatch.setattr(algebra, "_mul_compact", spy)
+    return ran
+
+
+def univariate(n, v=0, e0=0):
+    """1 + 2 x_v + ... + n x_v**(n-1), times x_v**e0."""
+    return sum((x(v, e0 + i).scale(i + 1) for i in range(n)), LaurentPoly.zero())
+
+
+def test_term_limit_on_compact_keys_is_the_dict_loops(monkeypatch):
+    from clusterflow.algebra import TermLimitExceeded
+
+    p, q = univariate(64), univariate(64, e0=-20) - x(1)
+    assert len(p.terms) * len(q.terms) >= algebra.COMPACT_MIN_PRODUCTS
+    ran = _compact_spy(monkeypatch)
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "100")
+    messages = []
+    cutoff0 = algebra.COMPACT_MIN_PRODUCTS
+    for cutoff in (cutoff0, float("inf")):
+        monkeypatch.setattr(algebra, "COMPACT_MIN_PRODUCTS", cutoff)
+        with pytest.raises(TermLimitExceeded, match=r"^101 terms in a product$") as err:
+            _ = p * q
+        messages.append(str(err.value))
+    assert ran == [None] and messages[0] == messages[1]  # the helper raised
+    monkeypatch.setattr(algebra, "COMPACT_MIN_PRODUCTS", cutoff0)
+    monkeypatch.setenv("CLUSTERFLOW_MAX_TERMS", "191")
+    assert len((p * q).terms) == 191 and ran == [None, True]
+
+
+def test_exponent_overflow_comes_before_compact_keys(monkeypatch):
+    from clusterflow.algebra import EXP_LIMIT, ExponentOverflow
+
+    ran = _compact_spy(monkeypatch)
+    p = univariate(64, e0=EXP_LIMIT // 2)
+    with pytest.raises(ExponentOverflow):
+        _ = p * p
+    with pytest.raises(ExponentOverflow):
+        _ = univariate(64, e0=-EXP_LIMIT // 2 - 1) * univariate(64, e0=-EXP_LIMIT // 2)
+    assert ran == []
+    assert len((univariate(64, e0=EXP_LIMIT // 2 - 128) * p).terms) == 127 and ran == [True]
+
+
+def test_term_limit_read_once_per_compact_product(monkeypatch):
+    ran = _compact_spy(monkeypatch)
+    p = univariate(64) + x(1)
+    reads = []
+    monkeypatch.setattr(algebra, "_term_limit", lambda: reads.append(1) or 200000)
+    _ = p * p
+    assert reads == [1] and ran == [True]
+
+
+def test_a_box_over_60_bits_falls_back_to_the_dict_loop(monkeypatch):
+    # 64 variables of degree 0 or 1 on each side: the box has 3**64 > 2**60
+    # points
+    p = sum((x(i) for i in range(64)), LaurentPoly.zero())
+    q = p + c(1)
+    ran = _compact_spy(monkeypatch)
+    got = p * q
+    assert ran == [False]
+    monkeypatch.setattr(algebra, "COMPACT_MIN_PRODUCTS", float("inf"))
+    want = p * q
+    assert list(got._t.items()) == list(want._t.items())
+    assert len(got.terms) == 64 + 64 * 63 // 2 + 64
+    assert got.terms[mono({3: 2})] == 1 and got.terms[mono({3: 1, 5: 1})] == 2
+
+
+def test_one_term_operands_and_first_powers():
+    from clusterflow.algebra import TermLimitExceeded
+
+    p = univariate(5, e0=-2) - x(1)
+    one = LaurentPoly.one()
+    assert p ** 1 is p and one * p is p and p * one is p
+    m = x(1, -3).scale(-2) * x(4)
+    for got in (p * m, m * p):
+        assert got == LaurentPoly({mono_mul(k, mono({1: -3, 4: 1})): -2 * v
+                                   for k, v in p.terms.items()})
+        assert (got._lo, got._hi) == algebra._key_range(got._t)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("CLUSTERFLOW_MAX_TERMS", "5")
+        with pytest.raises(TermLimitExceeded, match=r"^6 terms in a product$"):
+            _ = m * p
+        with pytest.raises(TermLimitExceeded, match=r"^6 terms in a product$"):
+            _ = one * p
+
+
+def test_the_largest_products_of_a_depth_six_run_use_compact_keys(monkeypatch):
+    # the two products behind the 54,961-term base of lv_run(6, -18, 20):
+    # a later change must not lose their compact path unnoticed
+    from clusterflow.dynamics import lv_run
+
+    sizes = []
+    compact = []
+    mul, helper = LaurentPoly.__mul__, algebra._mul_compact
+
+    def spy_mul(p, q):
+        sizes.append(len(p.terms) * len(q.terms))
+        return mul(p, q)
+
+    def spy_helper(a, b, *args):
+        out = helper(a, b, *args)
+        if out is not None:
+            compact.append(len(a) * len(b))
+        return out
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy_mul)
+    monkeypatch.setattr(algebra, "_mul_compact", spy_helper)
+    lv_run(6, -18, 20)
+    largest = sorted(sizes)[-2:]
+    assert min(largest) > 100_000
+    assert sorted(compact)[-2:] == largest
+
+
 def test_content_of_mixed_integer_and_fraction_coefficients():
     # a polynomial's content is the gcd of its int coefficients, whatever
     # the term order; the content 1/2 of 1 + x/2 lives in Factored.coeff

@@ -24,6 +24,7 @@ from clusterflow.algebra import (  # noqa: E402
     RatFunc,
     exact_div_laurent,
     mono,
+    mono_mul,
     poly_gcd,
     try_exact_div,
 )
@@ -234,3 +235,126 @@ def test_substitute_matches_sympy_subs(p, values):
     }
     want = to_sympy(p).subs(subs, simultaneous=True)
     assert sympy.expand(to_sympy(p.substitute(values)) - want) == 0
+
+
+# Products on compact keys (`algebra._mul_compact`) against the dict loop and
+# sympy.  The fixture registers a hundred filler variables before the late
+# ids, so these own fields above bit 1,600 and their keys are that wide.
+FILLER = range(9000, 9100)
+LATE = (9100, 9101, 9102)
+LATE_SYMBOLS = {v: sympy.Symbol(f"w{v}") for v in LATE}
+
+
+@pytest.fixture(scope="module")
+def late_vars():
+    for v in (*FILLER, *LATE):
+        LaurentPoly.variable(v)
+    assert algebra._SLOT[LATE[0]] >= 100 * algebra.FIELD_BITS
+
+
+def any_to_sympy(p: LaurentPoly):
+    total = sympy.Integer(0)
+    for m, c in p.terms.items():
+        total += sympy.Integer(c) * sympy.Mul(
+            *((SYMBOLS.get(v) or LATE_SYMBOLS[v]) ** e for v, e in m))
+    return total
+
+
+def dict_loop_product(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "COMPACT_MIN_PRODUCTS", float("inf"))
+        return p * q
+
+
+def compact_product(p: LaurentPoly, q: LaurentPoly, min_products=0) -> tuple[LaurentPoly, list]:
+    """p * q with the cutoff at min_products, and whether each call of the
+    compact helper ran the product (True) or fell back (False)."""
+    ran = []
+    helper = algebra._mul_compact
+
+    def spy(*args):
+        out = helper(*args)
+        ran.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "COMPACT_MIN_PRODUCTS", min_products)
+        mp.setattr(algebra, "_mul_compact", spy)
+        return p * q, ran
+
+
+def tuple_product(p: LaurentPoly, q: LaurentPoly) -> dict:
+    """p * q term by term on Mono tuples, with no packed key."""
+    out: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = mono_mul(m1, m2)
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def check_compact_product(p: LaurentPoly, q: LaurentPoly, min_products=0, oracle=True) -> list:
+    """The product on compact keys equals the dict loop's, term order and
+    carried range included, and the term-by-term product on Mono tuples
+    (and sympy's, if oracle); returns what the helper did."""
+    got, ran = compact_product(p, q, min_products)
+    want = dict_loop_product(p, q)
+    assert list(got._t.items()) == list(want._t.items())
+    assert dict(got.terms.items()) == tuple_product(p, q)
+    if got._t:
+        assert (got._lo, got._hi) == algebra._key_range(got._t) == want._range()
+    if oracle:
+        assert sympy.expand(any_to_sympy(got) - any_to_sympy(p) * any_to_sympy(q)) == 0
+    return ran
+
+
+def _wide_poly(max_terms: int = 8):
+    term = st.tuples(
+        st.integers(-4, 4),
+        st.dictionaries(st.sampled_from(VARS[:3] + LATE), st.integers(-3, 3), max_size=3),
+    )
+    return st.lists(term, max_size=max_terms).map(
+        lambda terms: sum(
+            (LaurentPoly.monomial(mono(m), co) for co, m in terms), LaurentPoly.zero()
+        )
+    )
+
+
+wide = _wide_poly()
+
+
+@given(st.one_of(laurent, wide), st.one_of(laurent, wide))
+@settings(max_examples=80, deadline=None)
+def test_compact_product_matches_the_dict_loop_and_sympy(late_vars, p, q):
+    ran = check_compact_product(p, q)
+    assert all(ran)  # these boxes are far below 60 bits
+
+
+@given(wide, wide)
+@settings(max_examples=60, deadline=None)
+def test_compact_product_with_inner_cancellations(late_vars, p, q):
+    # (p + q)(p - q): the cross terms cancel inside the loop, and a term
+    # that reappears after its deletion goes to the end of the dict
+    check_compact_product(p + q, p - q)
+    check_compact_product(p - q, (p + q) * (p + q), oracle=False)
+
+
+def test_compact_product_at_the_real_cutoff(late_vars):
+    # 64 x 64 terms over two late variables and x0, with negative exponents
+    # and terms that cancel: 4,096 term products take the compact path
+    a = sum(
+        (LaurentPoly.monomial(mono({LATE[0]: i % 8 - 3, LATE[1]: i // 8 - 4, 0: i % 3}), i % 7 - 3 or 5)
+         for i in range(64)),
+        LaurentPoly.zero(),
+    )
+    b = sum(
+        (LaurentPoly.monomial(mono({LATE[0]: i // 8 - 2, LATE[1]: 3 - i % 8, 0: -(i % 2)}), 2 - i % 5)
+         for i in range(64) if 2 - i % 5),
+        LaurentPoly.zero(),
+    ) + sum(
+        (LaurentPoly.monomial(mono({LATE[2]: j}), 1) for j in range(1, 14)), LaurentPoly.zero())
+    assert len(a._t) == len(b._t) == 64
+    assert len(a._t) * len(b._t) == algebra.COMPACT_MIN_PRODUCTS
+    assert check_compact_product(a, b, algebra.COMPACT_MIN_PRODUCTS, oracle=False) == [True]
+    square, ran = compact_product(a - b, a + b, algebra.COMPACT_MIN_PRODUCTS)
+    assert ran == [True] and square == a * a - b * b
