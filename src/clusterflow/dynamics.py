@@ -102,8 +102,11 @@ class LVState:
         return self.seeds[u].y[i]
 
     def one_plus_y(self, u: int, i: int) -> Factored:
-        """The semifield sum 1 (+) y_i(u)."""
-        return one_plus(self.tag, self.y(u, i))
+        """The semifield sum 1 (+) y_i(u): the one layer u formed when it
+        mutated at i, else computed here."""
+        y = self.y(u, i)
+        s = self.seeds[u + 1].sums.get(i) if u < self.depth else None
+        return one_plus(self.tag, y) if s is None else s
 
     def y_hat(self, u: int, i: int) -> Factored:
         """Dressed coefficient at a forward point (u = i mod 3)."""

@@ -161,6 +161,14 @@ def _bump(powers: dict[LaurentPoly, int], p: LaurentPoly) -> None:
         del powers[p]
 
 
+def _made(coeff: Fraction, key: int, powers: dict[LaurentPoly, int]) -> "Factored":
+    """A Factored value from parts that are valid as they stand: a nonzero
+    Fraction, and a fresh powers dict without zero exponents."""
+    out = object.__new__(Factored)
+    out.coeff, out.key, out.powers = coeff, key, powers
+    return out
+
+
 class Factored:
     """A nonzero rational function in factored form (or zero as coeff 0).
 
@@ -233,7 +241,8 @@ class Factored:
     def __mul__(self, other: "Factored") -> "Factored":
         if not isinstance(other, Factored):
             return NotImplemented
-        if self.coeff == 0 or other.coeff == 0:
+        a, b = self.coeff, other.coeff
+        if a == 0 or b == 0:
             return Factored.zero()
         powers = dict(self.powers)
         for p, e in other.powers.items():
@@ -241,20 +250,19 @@ class Factored:
             if ne:
                 powers[p] = ne
             else:
-                powers.pop(p, None)
-        return Factored(
-            self.coeff * other.coeff, _key_mul(self.key, other.key), powers
-        )
+                del powers[p]
+        return _made(b if a == 1 else a if b == 1 else a * b, _key_mul(self.key, other.key), powers)
 
     def __pow__(self, n: int) -> "Factored":
         if n == 0:
             return Factored.one()
-        if self.coeff == 0:
+        c = self.coeff
+        if c == 0:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero")
             return Factored.zero()
-        return Factored(
-            self.coeff**n,
+        return _made(
+            c if c == 1 else c**n,
             _key_pow(self.key, n),
             {p: e * n for p, e in self.powers.items()},
         )

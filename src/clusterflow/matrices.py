@@ -24,7 +24,7 @@ class NotSkewSymmetrizable(ValueError):
 class ExchangeMatrix:
     """Finite integer exchange matrix over an explicit index set."""
 
-    __slots__ = ("indices", "data", "_pos")
+    __slots__ = ("indices", "data", "_pos", "_rows", "_cols")
 
     def __init__(
         self,
@@ -44,6 +44,11 @@ class ExchangeMatrix:
                 raise ValueError(f"entry ({i},{j}) outside index set")
         if check:
             self._check_sign_pattern()
+        # the nonzero entries of each row and column, in index order
+        self._rows: dict[int, dict[int, int]] = {i: {} for i in self.indices}
+        self._cols: dict[int, dict[int, int]] = {i: {} for i in self.indices}
+        for (i, j), v in sorted(self.data.items()):
+            self._rows[i][j] = self._cols[j][i] = v
 
     def _check_sign_pattern(self) -> None:
         for (i, j), v in self.data.items():
@@ -63,10 +68,12 @@ class ExchangeMatrix:
         return self.data.get((i, j), 0)
 
     def column(self, k: int) -> dict[int, int]:
-        return {i: v for (i, j), v in self.data.items() if j == k}
+        """{i: b_ik} over the nonzero entries, in index order; read only."""
+        return self._cols[k]
 
     def row(self, k: int) -> dict[int, int]:
-        return {j: v for (i, j), v in self.data.items() if i == k}
+        """{j: b_kj} over the nonzero entries, in index order; read only."""
+        return self._rows[k]
 
     def to_dense(self) -> list[list[Fraction]]:
         n = self.n
@@ -98,35 +105,35 @@ class ExchangeMatrix:
     # -- mutation ----------------------------------------------------------
 
     def mutate(self, k: int) -> "ExchangeMatrix":
-        """Matrix mutation at index k."""
+        """Matrix mutation at index k.  Only row k, column k and the rows and
+        columns that col_k x row_k touches are rewritten; the others are
+        shared with self."""
         if k not in self._pos:
             raise KeyError(f"index {k} not in matrix")
         data = self.data
-        col_k = self.column(k)
-        row_k = self.row(k)
-        new = dict(data)
-        for i, v in col_k.items():
-            new[i, k] = -v
-        for j, v in row_k.items():
-            new[k, j] = -v
-        # the entries keep the order of a set of the old ones and of
-        # col_k x row_k: mutate_seed forms its exchange products in column
-        # order, and that order decides which trial divisions a sum tries
-        order = set(data)
+        col_k, row_k = self._cols[k], self._rows[k]
+        # every entry the rule changes, with 0 for one it removes
+        change = {(i, k): -v for i, v in col_k.items()}
+        change.update(((k, j), -v) for j, v in row_k.items())
         for i, bik in col_k.items():
             for j, bkj in row_k.items():
-                order.add((i, j))
                 # b_ij gains (|b_ik| b_kj + b_ik |b_kj|) / 2: b_ik b_kj when
                 # both are positive, -b_ik b_kj when both are negative
                 if i != k and j != k and (bik > 0) == (bkj > 0):
-                    nv = data.get((i, j), 0) + (bik * bkj if bik > 0 else -bik * bkj)
-                    if nv:
-                        new[i, j] = nv
-                    else:
-                        del new[i, j]
+                    change[i, j] = data.get((i, j), 0) + (bik * bkj if bik > 0 else -bik * bkj)
+        new = dict(data)
+        rows: dict[int, dict[int, int]] = {}
+        cols: dict[int, dict[int, int]] = {}
+        for (i, j), v in change.items():
+            if v:
+                new[i, j] = v
+            else:
+                del new[i, j]
+            rows.setdefault(i, {})[j] = v
+            cols.setdefault(j, {})[i] = v
         out = object.__new__(ExchangeMatrix)
-        out.indices, out._pos = self.indices, self._pos
-        out.data = {ij: new[ij] for ij in order if ij in new}
+        out.indices, out._pos, out.data = self.indices, self._pos, new
+        out._rows, out._cols = _rewrite(self._rows, rows), _rewrite(self._cols, cols)
         return out
 
     # -- symmetrizer -------------------------------------------------------
@@ -134,9 +141,6 @@ class ExchangeMatrix:
     def symmetrizer(self) -> dict[int, int]:
         """Positive integers d_i with d_i b_ij = -d_j b_ji, minimal per component."""
         d: dict[int, Fraction] = {}
-        adj: dict[int, list[int]] = {i: [] for i in self.indices}
-        for (i, j) in self.data:
-            adj[i].append(j)
         for start in self.indices:
             if start in d:
                 continue
@@ -144,8 +148,8 @@ class ExchangeMatrix:
             queue = [start]
             while queue:
                 i = queue.pop()
-                for j in adj[i]:
-                    ratio = -Fraction(self.entry(i, j), self.entry(j, i))
+                for j, bij in self._rows[i].items():
+                    ratio = -Fraction(bij, self.entry(j, i))
                     if ratio <= 0:
                         raise NotSkewSymmetrizable(f"sign clash at ({i},{j})")
                     val = d[i] * ratio
@@ -185,6 +189,18 @@ class ExchangeMatrix:
         if self.indices != tuple(range(self.n)):
             out["indices"] = list(self.indices)
         return out
+
+
+def _rewrite(
+    maps: Mapping[int, dict[int, int]], changes: Mapping[int, dict[int, int]]
+) -> dict[int, dict[int, int]]:
+    """maps with the entries of changes set (dropped at 0): each map that
+    changes touches is rebuilt in index order, and the others are shared."""
+    out = dict(maps)
+    for a, ch in changes.items():
+        m = {**maps[a], **ch}
+        out[a] = {b: m[b] for b in sorted(m) if m[b]}
+    return out
 
 
 class PeriodicBandedMatrix:

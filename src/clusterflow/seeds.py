@@ -12,7 +12,7 @@ that reads the tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import SemifieldTag, _key_min, xvar, yvar
@@ -30,6 +30,9 @@ class Seed:
     x: dict[int, Factored]
     y: dict[int, Factored]
     tag: SemifieldTag
+    # the semifield sums 1 (+) y_k of the mutations that made this seed, by
+    # k: the one of `mutate_seed`, or those of a `mutate_many` layer
+    sums: dict[int, Factored] = field(default_factory=dict, compare=False)
 
     @staticmethod
     def initial(
@@ -91,7 +94,7 @@ def mutate_seed(seed: Seed, k: int) -> Seed:
     new_x = dict(seed.x)
     new_x[k] = num / den
 
-    return Seed(b.mutate(k), new_x, new_y, seed.tag)
+    return Seed(b.mutate(k), new_x, new_y, seed.tag, {k: one_plus_yk})
 
 
 def mutate_many(seed: Seed, ks: Sequence[int]) -> Seed:
@@ -99,20 +102,21 @@ def mutate_many(seed: Seed, ks: Sequence[int]) -> Seed:
 
     The result is order independent only when the mutated indices do not
     interact, i.e. the exchange matrix vanishes between them; that is
-    verified for every pair.
+    verified for every pair, and the first interacting pair is named.  No
+    mutation changes another's y_k, so the result's sums are the layer's.
     """
     ks = sorted(set(ks))
-    for a in range(len(ks)):
-        for b_ in range(a + 1, len(ks)):
-            i, j = ks[a], ks[b_]
-            if seed.matrix.entry(i, j) or seed.matrix.entry(j, i):
-                raise CommutationError(
-                    f"indices {i} and {j} interact: b({i},{j})={seed.matrix.entry(i, j)}"
-                )
-    out = seed
+    kset = set(ks)
+    for i in ks:
+        row = seed.matrix.row(i)
+        j = min((j for j in (*row, *seed.matrix.column(i)) if j > i and j in kset), default=None)
+        if j is not None:
+            raise CommutationError(f"indices {i} and {j} interact: b({i},{j})={row.get(j, 0)}")
+    out, sums = seed, {}
     for k in ks:
         out = mutate_seed(out, k)
-    return out
+        sums[k] = out.sums[k]
+    return Seed(out.matrix, out.x, out.y, out.tag, sums)
 
 
 def apply_word(seed: Seed, word: Iterable[int]) -> Seed:

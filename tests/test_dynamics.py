@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from clusterflow import dynamics
 from clusterflow.algebra import SemifieldTag
 from clusterflow.dynamics import (
     LatticeZeroDivision,
@@ -26,6 +27,7 @@ from clusterflow.dynamics import (
     yhat_rel_residual,
 )
 from clusterflow.factored import Factored
+from clusterflow.seeds import one_plus
 from clusterflow.verify import tau_suite
 
 
@@ -93,6 +95,46 @@ class TestLVRun:
         state = lv_run(2, -6, 6)
         with pytest.raises(MarginExhausted):
             state.x(2, -6)
+
+
+def _parts(f: Factored) -> tuple:
+    return f.coeff, f.key, list(f.powers.items())
+
+
+class TestStoredSums:
+    def test_each_stored_sum_is_the_recomputed_one(self):
+        state = lv_run(4, -15, 17)
+        for before, after in zip(state.seeds, state.seeds[1:]):
+            assert after.sums
+            for k, s in after.sums.items():
+                assert _parts(s) == _parts(one_plus(state.tag, before.y[k]))
+
+    def test_one_plus_y_raises_where_it_did(self):
+        # before the sums were stored, one_plus_y was one_plus of y(u, i)
+        for tag in SemifieldTag:
+            state = lv_run(4, -15, 17, tag=tag)
+            raised = 0
+            for u in range(-1, state.depth + 2):
+                for i in range(state.lo - 1, state.hi + 2):
+                    try:
+                        want = one_plus(tag, state.y(u, i))
+                    except MarginExhausted:
+                        with pytest.raises(MarginExhausted):
+                            state.one_plus_y(u, i)
+                        raised += 1
+                        continue
+                    assert _parts(state.one_plus_y(u, i)) == _parts(want)
+            assert raised
+
+    def test_lv_report_reads_every_sum_it_needs(self, monkeypatch):
+        # criterion 4's run: every 1 (+) y_i(u) of its residuals was formed
+        # by the layer that mutated at i
+        state = lv_run(6, -24, 26)
+        calls = []
+        monkeypatch.setattr(dynamics, "one_plus", lambda *a: calls.append(a))
+        records = lv_report(state)
+        assert calls == []
+        assert len(records) == 69 and all(r["residual_zero"] for r in records)
 
 
 class TestTauIdentification:

@@ -1,21 +1,37 @@
-"""Factored values: the trial divisions of a sum do not depend on labels,
-a divisor that failed is not tried again, an image never rejects a true
-divisor, a divisor images cannot decide is divided exactly, trial divisions
-never expand a sum past the run's largest base, and bases hold int
-coefficients even when the values are rational."""
+"""Factored values: the work of a run does not depend on labels, a divisor
+that failed is not tried again, an image never rejects a true divisor, a
+divisor images cannot decide is divided exactly, trial divisions never
+expand a sum past the run's largest base, bases hold int coefficients even
+when the values are rational, and products and powers are the values their
+constructor builds."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clusterflow import factored
-from clusterflow.algebra import IMAGE_PRIME, LaurentPoly, mono, try_exact_div, xvar
-from clusterflow.dynamics import lv_run
+from clusterflow.algebra import (
+    IMAGE_PRIME,
+    LaurentPoly,
+    SemifieldTag,
+    _key_mul,
+    _key_pow,
+    _pack,
+    mono,
+    try_exact_div,
+    xvar,
+)
+from clusterflow.dynamics import liouville_run, lv_run
 from clusterflow.factored import Factored, _divide, _is_new, _split
 
 
-def _trial_divisions(monkeypatch, lo: int, hi: int) -> tuple[int, int]:
-    tried = failed = 0
-    divide = factored.try_exact_div
+def _work(monkeypatch, lo: int, hi: int) -> tuple[int, int, int]:
+    """Term products, trial divisions tried and trial divisions failed of
+    lv_run(5, lo, hi)."""
+    products = tried = failed = 0
+    divide, multiply = factored.try_exact_div, LaurentPoly.__mul__
 
     def counting(n, d):
         nonlocal tried, failed
@@ -24,18 +40,30 @@ def _trial_divisions(monkeypatch, lo: int, hi: int) -> tuple[int, int]:
         failed += q is None
         return q
 
+    def counting_mul(a, b):
+        nonlocal products
+        products += len(a.terms) * len(b.terms)
+        return multiply(a, b)
+
     with monkeypatch.context() as m:
         m.setattr(factored, "try_exact_div", counting)
+        m.setattr(LaurentPoly, "__mul__", counting_mul)
         lv_run(5, lo, hi)
-    return tried, failed
+    return products, tried, failed
 
 
-def test_trial_divisions_do_not_depend_on_variable_labels(monkeypatch):
-    # the window translated by 3 relabels every variable; the schedule is
-    # 3-periodic, so the same sums meet the same bases
-    base = _trial_divisions(monkeypatch, -18, 20)
-    assert _trial_divisions(monkeypatch, -15, 23) == base
-    assert base[1] > 0
+def test_work_of_a_run_depends_only_on_its_input(monkeypatch):
+    # the window translated by 3 relabels every index and variable, and an
+    # unrelated run registers variables in between; the schedule is
+    # 3-periodic and the rows and columns of an exchange matrix come in
+    # index order, so the same products meet the same bases
+    base = _work(monkeypatch, -18, 20)
+    assert _work(monkeypatch, -15, 23) == base
+    assert _work(monkeypatch, -24, 14) == base
+    liouville_run(5, 3)
+    lv_run(3, 31, 57, SemifieldTag.TROPICAL)
+    assert _work(monkeypatch, -18, 20) == base
+    assert min(base) > 0
 
 
 def test_failed_divisor_is_not_tried_again(monkeypatch):
@@ -182,3 +210,51 @@ def test_trial_divisions_stay_within_the_largest_base(monkeypatch):
     )
     assert largest == 1409
     assert sizes and max(sizes) <= largest
+
+
+_BASES = [
+    p
+    for f in (
+        Factored.variable(xvar(0)) + Factored.one(),
+        Factored.variable(xvar(1)) + Factored.one(),
+        Factored.variable(xvar(0)) + Factored.variable(xvar(1), 2) + Factored.constant(3),
+    )
+    for p in f.powers
+]
+
+
+@st.composite
+def _factored(draw):
+    """Factored values over three bases: coefficient 1 often, else another
+    rational or 0, and exponents of either sign that products can cancel."""
+    coeff = draw(st.sampled_from((1, 1, 1, -1, 0, 2, Fraction(-3, 4), Fraction(5, 7))))
+    key = _pack(mono({xvar(v): draw(st.integers(-2, 2)) for v in range(3)}))
+    powers = {p: e for p in _BASES if (e := draw(st.integers(-2, 2)))}
+    return Factored(Fraction(coeff), key, powers)
+
+
+def _parts(f: Factored) -> tuple:
+    assert type(f.coeff) is Fraction
+    assert 0 not in f.powers.values()
+    return f.coeff, f.key, list(f.powers.items())
+
+
+@given(_factored(), _factored(), st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+def test_products_and_powers_are_the_constructors_values(a, b, n):
+    merged = dict(a.powers)
+    for p, e in b.powers.items():
+        merged[p] = merged.get(p, 0) + e
+    want = Factored(a.coeff * b.coeff, _key_mul(a.key, b.key), merged)
+    assert _parts(a * b) == _parts(want)
+    if a.coeff:
+        assert _parts(a * a**-1) == _parts(Factored.one())
+    if a.coeff == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            a**n
+        return
+    if n == 0:
+        want = Factored.one()
+    else:
+        want = Factored(a.coeff**n, _key_pow(a.key, n), {p: e * n for p, e in a.powers.items()})
+    assert _parts(a**n) == _parts(want)

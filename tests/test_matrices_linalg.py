@@ -57,9 +57,7 @@ class TestPeriodicBanded:
 
 def rebuilt(B: ExchangeMatrix, k: int) -> dict:
     """The mutation rule on every entry, rebuilt in full: b_ij negated in
-    row and column k, else plus (|b_ik| b_kj + b_ik |b_kj|) / 2.  The
-    entries come in the order of a set of the old ones and of col_k x row_k,
-    which `mutate` keeps (the order exchange products are formed in)."""
+    row and column k, else plus (|b_ik| b_kj + b_ik |b_kj|) / 2."""
     col_k, row_k = B.column(k), B.row(k)
     touched = set(B.data)
     touched.update((i, j) for i in col_k for j in row_k)
@@ -74,6 +72,15 @@ def rebuilt(B: ExchangeMatrix, k: int) -> dict:
         if v:
             new[i, j] = v
     return new
+
+
+def assert_adjacency_is_fresh(M: ExchangeMatrix) -> None:
+    """M's row and column maps are those of a matrix built anew from its
+    entries, entry order included (index order)."""
+    fresh = ExchangeMatrix(M.indices, M.data)
+    for i in M.indices:
+        assert list(M.row(i).items()) == list(fresh.row(i).items())
+        assert list(M.column(i).items()) == list(fresh.column(i).items())
 
 
 @st.composite
@@ -97,8 +104,8 @@ def test_mutation_changes_only_what_the_rule_changes(B, picks):
     for pick in picks:
         k = B.indices[pick % B.n]
         M = B.mutate(k)
-        want = rebuilt(B, k)
-        assert list(M.data.items()) == list(want.items())
+        assert M.data == rebuilt(B, k)
+        assert_adjacency_is_fresh(M)
         assert ExchangeMatrix(M.indices, M.data, check=True) == M
         assert M.mutate(k) == B
         B = M
@@ -108,7 +115,8 @@ def test_lv_window_mutation_follows_the_rule():
     W = lv_matrix().window(-12, 14)
     for k in (0, 1, 2, -12, 14, 0):
         M = W.mutate(k)
-        assert list(M.data.items()) == list(rebuilt(W, k).items())
+        assert M.data == rebuilt(W, k)
+        assert_adjacency_is_fresh(M)
         assert M.mutate(k) == W
         W = M
 

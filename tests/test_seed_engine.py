@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from clusterflow.algebra import RatFunc, SemifieldTag, var_kind, xvar, yvar
 from clusterflow.factored import Factored
-from clusterflow.matrices import ExchangeMatrix, a2_matrix, somos4_matrix
+from clusterflow.matrices import ExchangeMatrix, a2_matrix, lv_matrix, somos4_matrix
 from clusterflow.seeds import CommutationError, Seed, apply_word, mutate_many, mutate_seed
 from clusterflow.verify import bounded_word, random_skew_matrix
 
@@ -20,6 +20,34 @@ def rat_x(i, e=1):
 
 def rat_y(i, e=1):
     return RatFunc.variable(yvar(i), e)
+
+
+@st.composite
+def sparse_skew_symmetrizable(draw):
+    """D B skew-symmetric for D = diag(d), with most entries zero so that
+    some sets of indices do not interact."""
+    n = draw(st.integers(2, 8))
+    idx = sorted(draw(st.sets(st.integers(-9, 9), min_size=n, max_size=n)))
+    d = [draw(st.integers(1, 2)) for _ in idx]
+    entries = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            s = draw(st.sampled_from((0, 0, 0, 1, -1, 2)))
+            entries[idx[a], idx[b]] = s * d[b]
+            entries[idx[b], idx[a]] = -s * d[a]
+    return ExchangeMatrix(idx, entries)
+
+
+def first_interaction(B: ExchangeMatrix, ks) -> str | None:
+    """The message of the first interacting pair in ascending order, by
+    looking up every pair's entries."""
+    ks = sorted(set(ks))
+    for a in range(len(ks)):
+        for b in range(a + 1, len(ks)):
+            i, j = ks[a], ks[b]
+            if B.entry(i, j) or B.entry(j, i):
+                return f"indices {i} and {j} interact: b({i},{j})={B.entry(i, j)}"
+    return None
 
 
 class TestExchangeRelation:
@@ -124,6 +152,35 @@ class TestCompositeMutation:
         seed = Seed.initial(a2_matrix(), SemifieldTag.UNIVERSAL)
         with pytest.raises(CommutationError):
             mutate_many(seed, [0, 1])
+
+    def test_first_interacting_pair_is_named(self):
+        seed = Seed.initial(lv_matrix().window(-6, 6), SemifieldTag.TRIVIAL)
+        with pytest.raises(CommutationError) as err:
+            mutate_many(seed, [6, 3, 0, 1, -6, 4])
+        assert str(err.value) == "indices 0 and 1 interact: b(0,1)=1"
+        # an unchecked matrix with b(1,0) alone interacts through column 0
+        one_sided = ExchangeMatrix((0, 1, 2), {(1, 0): 1}, check=False)
+        with pytest.raises(CommutationError) as err:
+            mutate_many(Seed.initial(one_sided, SemifieldTag.TRIVIAL), [2, 1, 0])
+        assert str(err.value) == "indices 0 and 1 interact: b(0,1)=0"
+
+    @given(sparse_skew_symmetrizable(), st.lists(st.integers(0, 7), max_size=3), st.sets(st.integers(0, 7)))
+    @settings(max_examples=150, deadline=None)
+    def test_interaction_check_is_the_pairwise_one(self, B, word, picks):
+        for k in word:
+            B = B.mutate(B.indices[k % B.n])
+        ks = [B.indices[p % B.n] for p in picks]
+        seed = Seed.initial(B, SemifieldTag.TRIVIAL)
+        want = first_interaction(B, ks)
+        if want is None:
+            M = B
+            for k in sorted(set(ks)):
+                M = M.mutate(k)
+            assert mutate_many(seed, ks).matrix == M
+            return
+        with pytest.raises(CommutationError) as err:
+            mutate_many(seed, ks)
+        assert str(err.value) == want
 
 
 class TestSemifields:
