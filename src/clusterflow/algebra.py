@@ -28,9 +28,8 @@ from array import array
 from collections.abc import ItemsView
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 Mono = tuple[tuple[int, int], ...]
@@ -239,7 +238,7 @@ def _key_range(keys: Iterable[int]) -> tuple[int, int]:
 def _glex_key(lo: int, hi: int):
     """Sort key of the graded-lex order (variables compared by id, the
     smallest id most significant) on keys whose exponents lie between lo and
-    hi in every variable: the total degree, then the varying fields as
+    hi != lo in every variable: the total degree, then the varying fields as
     big-endian bytes in variable order."""
     n = len(_VARS)
     span = _digits(hi - lo)
@@ -248,8 +247,6 @@ def _glex_key(lo: int, hi: int):
         if span[i] != EXP_LIMIT:
             j = 2 * (n - 1 - i)
             pos += (j, j + 1)
-    if not pos:
-        return lambda k: 0
     pick = itemgetter(*pos)
     if sum(span) - n * EXP_LIMIT < _FILL:
         # k - lo has nonnegative fields summing below 2**16 - 1, so its
@@ -262,28 +259,6 @@ def _glex_key(lo: int, hi: int):
             k -= lo
             return sum(_fields(k)), bytes(pick(k.to_bytes(2 * n, "big")))
     return key
-
-
-def _tuple_first(keys: Mapping[int, object]) -> int:
-    """The key whose Mono is least in tuple order (pairs sorted by variable),
-    among keys with nonnegative exponents."""
-    if 0 in keys:
-        return 0
-    cands = list(keys)
-    done = 0  # fields on which all candidates agree
-    while len(cands) > 1:
-        # the smallest variable any candidate still has: candidates with it
-        # sort first, the smallest exponent first
-        rest = _fields(reduce(or_, cands) & ~done)
-        shift = FIELD_BITS * next(i for i in _VAR_ORDER if rest[i])
-        exps = [(k >> shift) & _FILL for k in cands]
-        e = min(x for x in exps if x)
-        cands = [k for k, x in zip(cands, exps) if x == e]
-        done |= _FILL << shift
-        for k in cands:
-            if not k & ~done:
-                return k  # a prefix of every other candidate
-    return cands[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1018,10 +993,11 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero() or other.is_zero():
             return RatFunc.zero()
-        # cross-cancel before the full reduction to limit growth
+        # after the cross-cancellations the parts are coprime, and products
+        # keep the denominator's minimum exponents 0 and positive lead
         n1, d2 = _reduce(self.num, other.den)
         n2, d1 = _reduce(other.num, self.den)
-        return RatFunc(n1 * n2, d1 * d2)
+        return RatFunc(n1 * n2, d1 * d2, _reduced=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():
@@ -1031,21 +1007,16 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return RatFunc(self.den, self.num)
+        # the parts stay coprime: move num's monomial unit and sign across
+        shift = _key_div(0, self.num._range()[0])
+        den = self.num._shifted(shift)
+        c = _lead_sign(den)
+        return RatFunc(self.den._shifted(shift).divide(c), den.divide(c), _reduced=True)
 
     def __pow__(self, n: int) -> "RatFunc":
-        if n == 0:
-            return RatFunc.one()
         if n < 0:
-            return self.inverse() ** (-n)
-        result = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return self.inverse() ** -n
+        return RatFunc(self.num**n, self.den**n, _reduced=True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):
@@ -1060,7 +1031,7 @@ class RatFunc:
         """Exact partial derivative by the quotient rule."""
         dn = self.num.derivative(v)
         if self.den.is_one():
-            return RatFunc(dn, LaurentPoly.one())
+            return RatFunc.from_poly(dn)
         dd = self.den.derivative(v)
         return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
 

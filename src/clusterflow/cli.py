@@ -184,8 +184,6 @@ def cmd_verify(args) -> int:
         params["rng_seed"] = args.rng_seed
     try:
         bind_suite(args.suite, **params)
-    except KeyError as e:
-        raise BadInput(str(e)) from e
     except TypeError as e:
         raise BadInput(f"parameters do not apply to suite {args.suite!r}: {e}") from e
     records = run_suite(args.suite, **params)

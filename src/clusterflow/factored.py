@@ -11,17 +11,20 @@ value is kept as
     coeff * (monomial in the flat variables) * prod_k base_k ^ e_k
 
 with canonical polynomial bases (integer coefficients, per-variable minimum
-exponent zero, content one, deterministic sign) and integer exponents of
-either sign.  coeff is the only rational number; `expand()` puts its
-numerator in num and its denominator in den.  Products, quotients, and
-powers are exponent bookkeeping.  Addition extracts the common factor and
-keeps the sum as two cofactors X + Y over the lcm of the coefficients'
-denominators.  The Laurent-phenomenon cancellations are recovered by trial
-division by the denominator bases (exactly by Y's factors for a factor of
-X, disproved by modular images, else on the expanded sum), so no polynomial
-gcd is ever needed.  The sum is expanded once and registered as a new base.
-Every base is primitive, so that division stays in the integers.  Equality
-and zero tests go through subtraction, which is exact by the same route.
+exponent zero, content one, the coefficient of the least packed key
+positive) and integer exponents of either sign.  Packed keys follow the
+order in which variables were registered, so that sign is fixed only within
+a process; `expand()`, and every output built from it, does not read it.
+coeff is the only rational number; `expand()` puts its numerator in num and
+its denominator in den.  Products, quotients, and powers are exponent
+bookkeeping.  Addition extracts the common factor and keeps the sum as two
+cofactors X + Y over the lcm of the coefficients' denominators.  The
+Laurent-phenomenon cancellations are recovered by trial division by the
+denominator bases (exactly by Y's factors for a factor of X, disproved by
+modular images, else on the expanded sum), so no polynomial gcd is ever
+needed.  The sum is expanded once and registered as a new base.  Every base
+is primitive, so that division stays in the integers.  Equality and zero
+tests go through subtraction, which is exact by the same route.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .algebra import (
     _SLOT,
     _pack,
     _poly,
-    _tuple_first,
     _unpack,
     try_exact_div,
 )
@@ -54,11 +56,15 @@ def _split(p: LaurentPoly) -> tuple[int, int, LaurentPoly | None]:
     """Write a nonzero Laurent polynomial as coeff * monomial * base with the
     base canonical (min exponents zero, content one, reference coefficient
     positive), or base None when p is a monomial.  The monomial is a packed
-    key; the reference term is the least in Mono tuple order."""
+    key.  The reference term has the least packed key: the constant term when
+    there is one.  Packed keys follow the order in which variables were
+    registered, so the sign is a process-local normalisation: consistent for
+    equality and hashing, and read by no output, which goes through
+    `expand()`."""
     shift = p._range()[0]
     q = p._shifted(-shift)
     c = q.content()
-    if q._t[_tuple_first(q._t)] < 0:
+    if q._t[min(q._t)] < 0:
         c = -c
     q = q.divide(c)
     if q.is_one():

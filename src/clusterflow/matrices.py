@@ -11,6 +11,7 @@ an entry; all entries outside the band are zero.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,12 +27,7 @@ class ExchangeMatrix:
 
     __slots__ = ("indices", "data", "_pos", "_rows", "_cols")
 
-    def __init__(
-        self,
-        indices: Sequence[int],
-        entries: Mapping[tuple[int, int], int],
-        check: bool = True,
-    ):
+    def __init__(self, indices: Sequence[int], entries: Mapping[tuple[int, int], int]):
         self.indices: tuple[int, ...] = tuple(sorted(indices))
         if len(set(self.indices)) != len(self.indices):
             raise ValueError("duplicate indices")
@@ -42,8 +38,7 @@ class ExchangeMatrix:
         for (i, j) in self.data:
             if i not in self._pos or j not in self._pos:
                 raise ValueError(f"entry ({i},{j}) outside index set")
-        if check:
-            self._check_sign_pattern()
+        self._check_sign_pattern()
         # the nonzero entries of each row and column, in index order
         self._rows: dict[int, dict[int, int]] = {i: {} for i in self.indices}
         self._cols: dict[int, dict[int, int]] = {i: {} for i in self.indices}
@@ -162,15 +157,9 @@ class ExchangeMatrix:
         # clear denominators and common factors per connected component, then
         # globally: any common positive scaling is a valid symmetrizer, so use
         # the smallest integer one
-        import math
-
-        lcm = 1
-        for v in d.values():
-            lcm = lcm * v.denominator // math.gcd(lcm, v.denominator)
+        lcm = math.lcm(*(v.denominator for v in d.values()))
         ints = {i: int(v * lcm) for i, v in d.items()}
-        g = 0
-        for v in ints.values():
-            g = math.gcd(g, v)
+        g = math.gcd(*ints.values())
         return {i: v // g for i, v in ints.items()}
 
     def symmetrizer_dense(self) -> list[list[Fraction]]:
@@ -245,7 +234,7 @@ class PeriodicBandedMatrix:
                     v = self.entry(i, j)
                     if v:
                         entries[(i, j)] = v
-        return ExchangeMatrix(idx, entries, check=False)
+        return ExchangeMatrix(idx, entries)
 
     def to_json(self) -> dict:
         rule = sorted([cls, off, v] for (cls, off), v in self.rule.items())

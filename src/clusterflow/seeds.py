@@ -104,14 +104,16 @@ def mutate_many(seed: Seed, ks: Sequence[int]) -> Seed:
     interact, i.e. the exchange matrix vanishes between them; that is
     verified for every pair, and the first interacting pair is named.  No
     mutation changes another's y_k, so the result's sums are the layer's.
+    The matrix is skew-symmetrizable, so b_ij != 0 exactly when b_ji != 0
+    and a row shows every pair.
     """
     ks = sorted(set(ks))
     kset = set(ks)
     for i in ks:
         row = seed.matrix.row(i)
-        j = min((j for j in (*row, *seed.matrix.column(i)) if j > i and j in kset), default=None)
+        j = min((j for j in row if j > i and j in kset), default=None)
         if j is not None:
-            raise CommutationError(f"indices {i} and {j} interact: b({i},{j})={row.get(j, 0)}")
+            raise CommutationError(f"indices {i} and {j} interact: b({i},{j})={row[j]}")
     out, sums = seed, {}
     for k in ks:
         out = mutate_seed(out, k)

@@ -16,7 +16,7 @@ from math import log
 from typing import Callable, Iterator
 
 from .algebra import SemifieldTag
-from .linalg import is_zero_matrix, mat_mul, rank
+from .linalg import is_zero_matrix, rank
 from .matrices import ExchangeMatrix, a2_matrix, lv_matrix, lv_periodic_matrix, somos4_matrix
 from .poisson import (
     CompatibilityError,
@@ -33,6 +33,7 @@ from .poisson import (
     lv_symmetric_P,
     mutate_poisson,
     mutate_poisson_many,
+    pb_product,
     skew_kernel,
     solve_poisson,
     symbolic_bracket,
@@ -290,7 +291,7 @@ def families_suite(rng_seed: int = 0) -> list[dict]:
     for m in (3, 4):
         P = lv_periodic_P(m, draw(PeriodicLVParams, range(1, m), range(m)))
         Bm = lv_periodic_matrix(m)
-        prod_zero = is_zero_matrix(mat_mul(P.to_dense(), Bm.to_dense()))
+        prod_zero = is_zero_matrix(pb_product(P, Bm))
         records.append(_record("families", f"periodic-PB-zero-m{m}", prod_zero))
         records.append(periodic_span_record(m, lv_periodic_basis(m)))
     return records
@@ -308,7 +309,7 @@ def periodic_span_record(m: int, family: list[PeriodicLVParams]) -> dict:
     dim = len(skew_kernel(Bm))
     n = 3 * m
     members = [lv_periodic_P(m, p) for p in family]
-    pb_zero = all(is_zero_matrix(mat_mul(P.to_dense(), Bm.to_dense())) for P in members)
+    pb_zero = all(is_zero_matrix(pb_product(P, Bm)) for P in members)
     family_rank = rank(
         [[P.entry(i, j) for i in range(n) for j in range(i + 1, n)] for P in members]
     )

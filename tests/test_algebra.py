@@ -46,6 +46,10 @@ small_poly = st.lists(
     )
 )
 
+small_ratfunc = st.tuples(small_poly, small_poly.filter(lambda q: not q.is_zero())).map(
+    lambda pq: RatFunc(*pq)
+)
+
 
 class TestLaurentPoly:
     def test_constant_arithmetic(self):
@@ -140,6 +144,38 @@ class TestRatFunc:
             return
         a = RatFunc.from_poly(p) / RatFunc.from_poly(q)
         assert a * a.inverse() == RatFunc.one()
+
+    @given(small_ratfunc, small_ratfunc, st.integers(-3, 3))
+    @example(RatFunc.constant(-3), RatFunc.constant(Fraction(-2, 5)), -1)
+    @settings(max_examples=80, deadline=None)
+    def test_products_powers_and_inverses_are_reduced(self, a, b, n):
+        # the operations skip reduction; a full reduction must not change them
+        def parts(r):
+            return r.num, r.den
+
+        assert parts(a * b) == parts(RatFunc(a.num * b.num, a.den * b.den))
+        if not b.is_zero():
+            assert parts(a / b) == parts(RatFunc(a.num * b.den, a.den * b.num))
+        if a.is_zero():
+            return
+        assert parts(a.inverse()) == parts(RatFunc(a.den, a.num))
+        num, den = (a.num, a.den) if n >= 0 else (a.den, a.num)
+        assert parts(a**n) == parts(RatFunc(num ** abs(n), den ** abs(n)))
+
+    def test_products_powers_and_inverses_skip_the_gcd(self, monkeypatch):
+        a = RatFunc(x(0) + c(1), x(1) + c(2))
+        b = RatFunc(x(2) + c(3), x(3) + c(4))
+        calls = []
+        gcd = algebra.poly_gcd
+        monkeypatch.setattr(algebra, "poly_gcd", lambda p, q: calls.append(1) or gcd(p, q))
+
+        def count(op) -> int:
+            calls.clear()
+            op()
+            return len(calls)
+
+        # one gcd per cross-cancellation of a product, and none on its parts
+        assert [count(lambda: a * b), count(a.inverse), count(lambda: a**2)] == [2, 0, 0]
 
 
 class TestFractions:

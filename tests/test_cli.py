@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from clusterflow import cli, verify
+from clusterflow.algebra import SemifieldTag
 from clusterflow.cli import main
-from clusterflow.matrices import named_matrix
+from clusterflow.matrices import lv_matrix, named_matrix
+from clusterflow.seeds import Seed, mutate_seed
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +74,36 @@ class TestMutateCommand:
     def test_infinite_matrix_needs_window(self, capsys):
         code, _ = run_cli(capsys, "mutate", "--matrix", "lv", "--word", "1")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["poisson", "--solve"], "--matrix is required"),
+            (["mutate", "--matrix", "somos4", "--window=-3..3", "--word", "1"],
+             "--window only applies to periodic banded matrices"),
+            (["mutate", "--matrix", "a2", "--word", "bar0"],
+             "barC words only apply to windowed matrices"),
+            (["mutate", "--matrix", "lv", "--window=-3..3", "--word", "barx"],
+             "bad composite token 'barx'"),
+            (["mutate", "--matrix", "lv", "--window=-3..3", "--word", "1,x"],
+             "bad word token 'x'"),
+            (["mutate", "--matrix", "lv", "--window=-3..3", "--word=7"],
+             "index 7 outside the window"),
+        ],
+    )
+    def test_bad_input_is_named_on_stderr(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_windowed_word_names_raw_indices(self, capsys):
+        code, out = run_cli(capsys, "mutate", "--matrix", "lv", "--window=-3..3", "--word=0,-3")
+        assert code == 0
+        seed = Seed.initial(lv_matrix().window(-3, 3), SemifieldTag.TRIVIAL)
+        seed = mutate_seed(mutate_seed(seed, 0), -3)
+        assert out == json.dumps(cli._seed_json(seed), indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize(
         "name, argv",

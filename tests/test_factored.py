@@ -2,8 +2,8 @@
 that failed is not tried again, an image never rejects a true divisor, a
 divisor images cannot decide is divided exactly, trial divisions never
 expand a sum past the run's largest base, bases hold int coefficients even
-when the values are rational, and products and powers are the values their
-constructor builds."""
+when the values are rational, a base does not depend on the unit split off
+it, and products and powers are the values their constructor builds."""
 
 from fractions import Fraction
 
@@ -91,18 +91,39 @@ def test_failed_divisor_is_not_tried_again(monkeypatch):
     assert len(failed) == len(set(failed))
 
 
-def test_bases_of_a_constant_coefficient_run_hold_ints():
-    # the y values are the constants delta, 1 and 1/delta, so Fraction
-    # coefficients enter every sum; the bases must still hold plain ints
-    state = lv_run(5, -45, 47, delta=1)
-    bases = {
+def _bases(state) -> list[LaurentPoly]:
+    """The distinct bases that the values of a run hold."""
+    return list({
         id(p): p
         for seed in state.seeds
         for v in (*seed.x.values(), *seed.y.values())
         for p in v.powers
-    }
+    }.values())
+
+
+def test_bases_of_a_constant_coefficient_run_hold_ints():
+    # the y values are the constants delta, 1 and 1/delta, so Fraction
+    # coefficients enter every sum; the bases must still hold plain ints
+    bases = _bases(lv_run(5, -45, 47, delta=1))
     assert bases
-    assert all(type(c) is int for p in bases.values() for c in p.terms.values())
+    assert all(type(c) is int for p in bases for c in p.terms.values())
+
+
+def test_bases_of_the_digest_runs_have_positive_coefficients():
+    # the golden factored-form digests print bases, whose sign follows the
+    # order in which variables were registered; with every coefficient
+    # positive, no choice of the term that fixes the sign can flip one
+    for args in (
+        (5, -18, 20),
+        (5, -45, 47, SemifieldTag.UNIVERSAL, Fraction(1)),
+        (5, -15, 17, SemifieldTag.TROPICAL),
+    ):
+        bases = _bases(lv_run(*args))
+        assert bases and all(c > 0 for p in bases for c in p.terms.values())
+    # mixed signs do occur, so the check above can fail
+    bases = _bases(lv_run(4, -12, 14, delta=Fraction(-3, 2)))
+    assert len(bases) == 16
+    assert all(min(p.terms.values()) < 0 < max(p.terms.values()) for p in bases)
 
 
 def _poly(max_terms: int):
@@ -127,6 +148,24 @@ def _pending(s: LaurentPoly, cut: int, unit: int) -> list:
         c, key, base = _split(LaurentPoly(dict(part)))
         sides.append([unit * c, key, {} if base is None else {base: 1}])
     return sides + [{}]
+
+
+@given(
+    _poly(4),
+    st.integers(-6, 6).filter(bool),
+    st.dictionaries(st.sampled_from((0, 1, 2)), st.integers(-2, 2), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_base_does_not_depend_on_the_unit_taken_out(p, c, m):
+    assume(not p.is_zero())
+    coeff, key, base = _split(p)
+    assert _split(LaurentPoly.monomial(mono(m), c) * p)[2] == base
+    assert _split(-p)[2] == base
+    if base is None:
+        base = LaurentPoly.one()
+    else:  # min exponents zero, content one, the least key's coefficient positive
+        assert base._range()[0] == 0 and base.content() == 1 and base._t[min(base._t)] > 0
+    assert base.scale(coeff)._shifted(key) == p
 
 
 @given(_poly(4), _poly(4), st.integers(0, 8), st.sampled_from((1, 5 * IMAGE_PRIME)))

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from clusterflow.algebra import RatFunc, SemifieldTag, var_kind, xvar, yvar
 from clusterflow.factored import Factored
-from clusterflow.matrices import ExchangeMatrix, a2_matrix, lv_matrix, somos4_matrix
+from clusterflow.matrices import (
+    ExchangeMatrix,
+    NotSkewSymmetrizable,
+    a2_matrix,
+    lv_matrix,
+    somos4_matrix,
+)
 from clusterflow.seeds import CommutationError, Seed, apply_word, mutate_many, mutate_seed
 from clusterflow.verify import bounded_word, random_skew_matrix
 
@@ -158,11 +164,9 @@ class TestCompositeMutation:
         with pytest.raises(CommutationError) as err:
             mutate_many(seed, [6, 3, 0, 1, -6, 4])
         assert str(err.value) == "indices 0 and 1 interact: b(0,1)=1"
-        # an unchecked matrix with b(1,0) alone interacts through column 0
-        one_sided = ExchangeMatrix((0, 1, 2), {(1, 0): 1}, check=False)
-        with pytest.raises(CommutationError) as err:
-            mutate_many(Seed.initial(one_sided, SemifieldTag.TRIVIAL), [2, 1, 0])
-        assert str(err.value) == "indices 0 and 1 interact: b(0,1)=0"
+        # a matrix with b(1,0) alone is refused before any mutation
+        with pytest.raises(NotSkewSymmetrizable):
+            ExchangeMatrix((0, 1, 2), {(1, 0): 1})
 
     @given(sparse_skew_symmetrizable(), st.lists(st.integers(0, 7), max_size=3), st.sets(st.integers(0, 7)))
     @settings(max_examples=150, deadline=None)
